@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=None,
-                help="worker processes for scans (default: TOTALPOS_THREADS or CPU count)",
+                help="worker processes for sampled scans (default: TOTALPOS_THREADS or CPU count)",
             )
 
     p = sub.add_parser("verify", help="full certificate: factorization, block "

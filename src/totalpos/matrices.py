@@ -8,11 +8,17 @@ The scan engine reduces each maximal minor to a small complementary
 minor: pick the lexicographically first invertible row basis B and write
 every remaining row in B-coordinates (matrix C); then for a row subset I
 using k non-basis rows, |det M[I]| = |det B| * |det C[K, Jc]| where Jc is
-the complement of the basis positions I occupies.  This turns an
-m x m determinant per subset into a k x k one with k <= rows - cols,
-which is what makes exhaustive scans of millions of subsets feasible on
-a single core.  The direct per-subset path is kept and cross-checked in
-tests.
+the complement of the basis positions I occupies.  So the maximal
+minors of M are, up to the factor |det B| and the row scales, exactly
+the minors of C, the all-basis subset being the empty minor.
+
+Exhaustive scans walk the minors of C depth first over (row prefix,
+column prefix) pairs.  Each node keeps a one-step Bareiss state whose
+entries are, by Sylvester's identity, its child minors, so a minor
+costs O(1) big-integer operations instead of a k x k determinant
+(Bareiss, Math. Comp. 22, 1968).  Sampled and fail-fast scans take one
+determinant per subset; sampled ones may spread over worker processes.
+The direct per-subset path is kept and cross-checked in tests.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ScanBudgetError
@@ -205,8 +212,6 @@ def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdi
         raise ScanBudgetError(
             f"total-minor scan needs {count} minors, over the guard {size_guard}"
         )
-    from itertools import combinations
-
     for k in range(1, min(r, c) + 1):
         for rows_idx in combinations(range(r), k):
             for cols_idx in combinations(range(c), k):
@@ -342,6 +347,105 @@ class _BasisContext:
         for r in k_rows:
             scale *= self.coord_scales[r]
         return _bareiss_det(sub), scale
+
+
+def _dfs_scan(ctx: _BasisContext):
+    """Every minor of the coordinate matrix C, depth first over (K, J).
+
+    A node (K, J) carries its minor v = det C[K, J] and the one-step
+    Bareiss state S[a][b] = det C[K + a, J + b] over the rows a after
+    max K and the columns b after max J, so each entry of S is a child
+    minor.  By Sylvester's identity the state of the child (a, b) is
+    (S[a][b] * S[a'][b'] - S[a][b'] * S[a'][b]) // v over a' > a, b' > b,
+    which makes each minor cost O(1) big-integer operations.  A child
+    whose minor is zero cannot serve as a divisor; its subtree is walked
+    by direct determinants instead.
+
+    The node (K, J) stands for the row subset made of the basis rows at
+    the positions outside J and the non-basis rows K; the root
+    (K, J) = ((), ()) is the all-basis subset.  Returns the same
+    (failures, best (|det|, scale), examined) triple as _scan_chunk, with
+    the failures in lexicographic order.
+    """
+    coord = ctx.coord_rows
+    scales = ctx.coord_scales
+    n_r, n_c = len(coord), ctx.n_cols
+    failures: list[tuple[list[int], list[int]]] = []
+    # |det C[K, J]| and prod scales[K] of the smallest nonzero minor so far;
+    # the root's empty minor is 1 with scale 1.
+    best = [1, 1]
+    count = 1
+
+    def offer(ad: int, scale: int) -> None:
+        if ad * best[1] < best[0] * scale:
+            best[0], best[1] = ad, scale
+
+    def direct(kk, jj, s_rows):
+        # The subtree below the zero minor C[kk, jj], one determinant a node.
+        nonlocal count
+        for k in range(1, min(n_r - kk[-1], n_c - jj[-1])):
+            for extra_r in combinations(range(kk[-1] + 1, n_r), k):
+                rows = kk + list(extra_r)
+                scale = s_rows
+                for a in extra_r:
+                    scale *= scales[a]
+                picked = [coord[a] for a in rows]
+                for extra_c in combinations(range(jj[-1] + 1, n_c), k):
+                    cols = jj + list(extra_c)
+                    d = _bareiss_det([[row[b] for b in cols] for row in picked])
+                    count += 1
+                    if d == 0:
+                        failures.append((rows, cols))
+                    else:
+                        offer(abs(d), scale)
+
+    def walk(kk, jj, state, v, a0, b0, s_rows):
+        nonlocal count
+        n = len(state)
+        width = len(state[0])
+        count += n * width
+        for i in range(n):
+            row = state[i]
+            a = a0 + i
+            scale = s_rows * scales[a]
+            if 0 in row:
+                nonzero = []
+                for j, x in enumerate(row):
+                    if x:
+                        nonzero.append(abs(x))
+                    else:
+                        failures.append((kk + [a], jj + [b0 + j]))
+                if nonzero:
+                    offer(min(nonzero), scale)
+            else:
+                offer(min(map(abs, row)), scale)
+            if i + 1 == n:
+                break
+            for j in range(width - 1):
+                p = row[j]
+                if p == 0:
+                    direct(kk + [a], jj + [b0 + j], scale)
+                    continue
+                tail = row[j + 1:]
+                child = []
+                for below in state[i + 1:]:
+                    f = below[j]
+                    child.append([(p * x - f * y) // v for x, y in zip(below[j + 1:], tail)])
+                walk(kk + [a], jj + [b0 + j], child, p, a + 1, b0 + j + 1, scale)
+
+    walk([], [], [list(r) for r in coord], 1, 0, 0, 1)
+    expected = math.comb(ctx.n_rows, ctx.n_cols)
+    if count != expected:
+        raise AssertionError(f"minor walk visited {count} of {expected} subsets")
+    basis_rows = [i for i, p in enumerate(ctx.basis_pos) if p >= 0]
+    coord_to_row = [i for i, p in enumerate(ctx.basis_pos) if p < 0]
+    subsets = []
+    for kk, jj in failures:
+        outside = set(range(ctx.n_cols)) - set(jj)
+        rows = [basis_rows[p] for p in outside] + [coord_to_row[k] for k in kk]
+        subsets.append(tuple(sorted(i + 1 for i in rows)))
+    subsets.sort()
+    return subsets, (best[0], best[1]), count
 
 
 def _scan_chunk(payload):
@@ -493,6 +597,25 @@ def _build_context(matrix: ExactMatrix, force_direct: bool):
     return ctx, Fraction(1)
 
 
+def _per_subset_scan(ctx, ranks, checked, threads, fail_fast):
+    """One determinant per row subset, in lexicographic (or rank) order;
+    sampled scans without fail_fast are spread over worker processes."""
+    if ranks is None:
+        return [_scan_chunk((ctx, ("range", 0, checked), fail_fast))]
+    n_threads = 1 if fail_fast else resolve_threads(threads)
+    n_chunks = min(max(1, n_threads * 4), checked) if n_threads > 1 else 1
+    bounds = [checked * i // n_chunks for i in range(n_chunks + 1)]
+    payloads = [
+        (ctx, ("ranks", tuple(ranks[bounds[i]: bounds[i + 1]])), fail_fast)
+        for i in range(n_chunks)
+        if bounds[i + 1] > bounds[i]
+    ]
+    if n_threads > 1 and len(payloads) > 1 and checked >= 4096:
+        with multiprocessing.get_context("fork").Pool(n_threads) as pool:
+            return pool.map(_scan_chunk, payloads)
+    return [_scan_chunk(p) for p in payloads]
+
+
 def maximal_minor_scan(
     matrix: ExactMatrix,
     mode: str = "exhaustive",
@@ -506,14 +629,20 @@ def maximal_minor_scan(
 ) -> GeneralPositionReport:
     """Scan row subsets of size cols; record every zero-determinant subset.
 
-    Exhaustive mode walks all C(rows, cols) subsets in lexicographic
-    order; sampled mode draws sample_count distinct subsets with the
-    given seed and walks them in rank order.  The report is identical
-    for any thread count.
+    Exhaustive mode covers all C(rows, cols) subsets.  When the matrix has
+    full column rank and more rows than columns, it walks every minor of
+    the coordinate matrix depth first in one process (_dfs_scan), at
+    O(1) big-integer operations per subset; failures are reported in
+    lexicographic order.  Sampled mode draws sample_count distinct subsets
+    with the given seed and takes one determinant per subset in rank
+    order, spread over `threads` worker processes.  The report is
+    identical for any thread count.
 
-    With fail_fast the scan runs sequentially and stops at the first
-    zero determinant; checked_subsets then counts only the subsets
-    actually examined.
+    With fail_fast the scan runs sequentially through the subsets in
+    lexicographic (or rank) order and stops at the first zero
+    determinant; checked_subsets then counts only the subsets actually
+    examined.  Square and rank-deficient matrices, and _force_direct
+    (the test oracle), also take one determinant per subset.
     """
     t0 = time.perf_counter()
     r, c = matrix.rows, matrix.cols
@@ -548,32 +677,10 @@ def maximal_minor_scan(
 
     ctx, abs_det_b = _build_context(matrix, _force_direct)
 
-    n_threads = 1 if fail_fast else resolve_threads(threads)
-    n_chunks = min(max(1, n_threads * 4), checked) if n_threads > 1 else 1
-    bounds = [checked * i // n_chunks for i in range(n_chunks + 1)]
-    if ranks is None:
-        payloads = [
-            (ctx, ("range", bounds[i], bounds[i + 1] - bounds[i]), fail_fast)
-            for i in range(n_chunks)
-            if bounds[i + 1] > bounds[i]
-        ]
+    if ranks is None and not fail_fast and isinstance(ctx, _BasisContext):
+        parts = [_dfs_scan(ctx)]
     else:
-        payloads = [
-            (ctx, ("ranks", tuple(ranks[bounds[i]: bounds[i + 1]])), fail_fast)
-            for i in range(n_chunks)
-            if bounds[i + 1] > bounds[i]
-        ]
-
-    if n_threads > 1 and len(payloads) > 1 and checked >= 4096:
-        with multiprocessing.get_context("fork").Pool(n_threads) as pool:
-            parts = pool.map(_scan_chunk, payloads)
-    else:
-        parts = []
-        for p in payloads:
-            part = _scan_chunk(p)
-            parts.append(part)
-            if fail_fast and part[0]:
-                break
+        parts = _per_subset_scan(ctx, ranks, checked, threads, fail_fast)
 
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None

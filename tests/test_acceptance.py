@@ -162,6 +162,7 @@ def test_criterion_09_exhaustive_scan_m16():
     assert rep.total_subsets == 735471
     assert rep.checked_subsets == 735471
     assert rep.failures == ()
+    assert rep.min_abs_nonzero_det == 1
     assert elapsed < 300.0
     report(9, f"all 735471 m=16 subsets are independent in {elapsed:.1f}s")
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,10 @@ from totalpos import (
     MinorQuery,
     ScanBudgetError,
     coefficient_matrix,
+    constants_from_extras,
     determinant,
     diagonal,
+    extended_family,
     family_polys,
     identity,
     is_totally_nonnegative,
@@ -37,6 +41,27 @@ def cofactor_determinant(rows):
         rest = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_determinant(rest)
     return total
+
+
+def random_rational_matrices():
+    """300 seeded tall matrices with small rational entries.  They have
+    many zero minors, so zero pivots and their direct-subtree fallback
+    run, and the denominators give non-unit row scales."""
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(300):
+        c = rng.randint(2, 5)
+        r = rng.randint(c + 1, c + 6)
+        out.append(ExactMatrix.from_rows(
+            [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(c)]
+             for _ in range(r)]
+        ))
+    return out
+
+
+def planted_m6(extras):
+    """The extended m=6 family for constants that leave dependent subsets."""
+    return [coefficient_matrix(extended_family(6, constants_from_extras(extras)), 6)]
 
 
 square_matrices = st.integers(1, 5).flatmap(
@@ -178,18 +203,40 @@ class TestMaximalMinorScan:
         assert rep.failures == ((1, 2),)
         assert rep.checked_subsets == 1
 
-    def test_direct_and_reduced_engines_agree(self):
-        M = coefficient_matrix(family_polys(8), 8)
-        fast = maximal_minor_scan(M)
-        slow = maximal_minor_scan(M, _force_direct=True)
-        assert fast.failures == slow.failures
-        assert fast.min_abs_nonzero_det == slow.min_abs_nonzero_det
-        assert fast.total_subsets == slow.total_subsets == 495
+    @pytest.mark.parametrize(
+        "build, expected_failures",
+        [
+            pytest.param(random_rational_matrices, None, id="random-rational"),
+            pytest.param(lambda: planted_m6([(-1, 2), (3, -2)]), 290, id="planted-290"),
+            pytest.param(lambda: planted_m6([(-3, -4), (2, 5)]), 43, id="planted-43"),
+            pytest.param(
+                lambda: [coefficient_matrix(family_polys(8), 8)], 0, id="m8-family"
+            ),
+        ],
+    )
+    def test_direct_and_reduced_engines_agree(self, build, expected_failures):
+        """The exhaustive minor walk against the per-subset direct oracle."""
+        failures = 0
+        for M in build():
+            fast = maximal_minor_scan(M)
+            slow = maximal_minor_scan(M, _force_direct=True)
+            assert fast.failures == slow.failures
+            assert fast.min_abs_nonzero_det == slow.min_abs_nonzero_det
+            assert fast.total_subsets == slow.total_subsets == math.comb(M.rows, M.cols)
+            assert fast.checked_subsets == slow.checked_subsets == fast.total_subsets
+            failures += len(fast.failures)
+        if expected_failures is None:
+            assert failures > 100
+        else:
+            assert failures == expected_failures
 
     def test_thread_count_does_not_change_results(self):
-        M = coefficient_matrix(family_polys(8), 8)
-        one = maximal_minor_scan(M)
-        two = maximal_minor_scan(M, threads=2)
+        # Only sampled scans of at least 4096 subsets go to worker
+        # processes; planted failures check that the chunks merge in order.
+        (M,) = planted_m6([(-1, 2), (3, -2)])
+        one = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=1)
+        two = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=2)
+        assert one.failures
         assert one.failures == two.failures
         assert one.min_abs_nonzero_det == two.min_abs_nonzero_det
 
