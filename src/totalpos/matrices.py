@@ -4,6 +4,13 @@ Fraction-free (Bareiss) determinants over a common-denominator integer
 lift, minor queries, total-nonnegativity/positivity scans, and the
 maximal-minor scan engine that backs general-position certificates.
 
+The total scans walk row prefixes depth first.  A node holds every
+minor on its rows, and a child gets its minors by Laplace expansion
+along its new last row from its parent's, with no division, so zero
+minors cost nothing extra: at most sum_k k*C(r,k)*C(c,k) integer
+multiply-adds for an r x c matrix.  A wide matrix is walked as its
+transpose so that the expansion tables span the shorter side.
+
 The scan engine reduces each maximal minor to a small complementary
 minor: pick the lexicographically first invertible row basis B and write
 every remaining row in B-coordinates (matrix C); then for a row subset I
@@ -205,33 +212,113 @@ def _minor_count(rows: int, cols: int) -> int:
     return math.comb(rows + cols, rows) - 1
 
 
+def _laplace_tables(n: int) -> list:
+    """Laplace expansion terms for the minors over the columns range(n).
+
+    Entry s (1 <= s <= n) is (subsets, plus, minus): the s-subsets J of
+    the columns in lex order, and for each column j the pairs (t, q) with
+    J = subsets[t] containing j at position p and J - {j} the (s-1)-subset
+    of lex rank q, split by the cofactor sign (-1)^(s-1+p) of a new last
+    row.  Entry 0 is unused.  Together they hold sum_s s*C(n, s) pairs.
+    """
+    out: list = [None]
+    rank = {(): 0}
+    for s in range(1, n + 1):
+        subsets = list(combinations(range(n), s))
+        plus: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        minus: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for t, cols in enumerate(subsets):
+            for p, j in enumerate(cols):
+                terms = minus if (s - 1 + p) % 2 else plus
+                terms[j].append((t, rank[cols[:p] + cols[p + 1:]]))
+        out.append((subsets, plus, minus))
+        rank = {cols: t for t, cols in enumerate(subsets)}
+    return out
+
+
 def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdict:
+    """Every minor, depth first over row prefixes, by Laplace expansion.
+
+    A node is a row set I; it holds the vector of det A[I, J] over the
+    |I|-subsets J of the columns in lex order.  The child I + (i), for
+    i > max I, gets each minor by expansion along its new last row:
+    det A[I+i, J] = sum_p (-1)^(|I|+p) a[i][j_p] det A[I, J - j_p], with
+    p counted from 0.  The update never divides, so zero minors cost
+    nothing extra, and zero entries of the new row are skipped; a scan
+    takes at most sum_k k*C(r,k)*C(c,k) big-integer multiply-adds.
+
+    Rows are lifted to integers once; the positive row scales keep every
+    sign, and the witness value is the integer minor over the product of
+    its row scales.  A wide matrix is walked as its transpose, so the
+    tables span the shorter side.  The witness is the least (size, rows,
+    cols) key among violations; nodes larger than the best size found so
+    far are not visited.
+    """
     r, c = matrix.rows, matrix.cols
     count = _minor_count(r, c)
     if count > size_guard:
         raise ScanBudgetError(
             f"total-minor scan needs {count} minors, over the guard {size_guard}"
         )
-    for k in range(1, min(r, c) + 1):
-        for rows_idx in combinations(range(r), k):
-            for cols_idx in combinations(range(c), k):
-                value = determinant(matrix.submatrix(rows_idx, cols_idx))
-                bad = value <= 0 if strict else value < 0
-                if bad:
-                    query = MinorQuery(
-                        tuple(i + 1 for i in rows_idx), tuple(j + 1 for j in cols_idx)
-                    )
-                    return ScanVerdict(False, MinorWitness(query, value))
-    return ScanVerdict(True, None)
+    lifted = [_int_lift_row(row) for row in matrix.entries]
+    grid = [ints for ints, _ in lifted]
+    transposed = c > r
+    if transposed:
+        grid = [list(col) for col in zip(*grid)]
+    depth = min(r, c)
+    tables = _laplace_tables(depth)
+    best: Optional[tuple[tuple, int]] = None  # ((size, rows, cols), minor)
+
+    def walk(rows: list[int], parent: list[int], s: int) -> None:
+        nonlocal best
+        subsets, plus, minus = tables[s]
+        for i in range(rows[-1] + 1 if rows else 0, len(grid)):
+            minors = [0] * len(subsets)
+            for j, a in enumerate(grid[i]):
+                if a:
+                    for t, q in plus[j]:
+                        minors[t] += a * parent[q]
+                    for t, q in minus[j]:
+                        minors[t] -= a * parent[q]
+            node = rows + [i]
+            low = min(minors)
+            if low < 0 or strict and low == 0:
+                t = next(t for t, x in enumerate(minors) if x < 0 or strict and x == 0)
+                cols = subsets[t]
+                key = (s, cols, tuple(node)) if transposed else (s, tuple(node), cols)
+                if best is None or key < best[0]:
+                    best = (key, minors[t])
+            if s < depth and (best is None or s < best[0][0]):
+                walk(node, minors, s + 1)
+
+    if depth:
+        walk([], [1], 1)
+    if best is None:
+        return ScanVerdict(True, None)
+    (_, rows_idx, cols_idx), value = best
+    denom = 1
+    for i in rows_idx:
+        denom *= lifted[i][1]
+    query = MinorQuery(tuple(i + 1 for i in rows_idx), tuple(j + 1 for j in cols_idx))
+    return ScanVerdict(False, MinorWitness(query, Fraction(value, denom)))
 
 
 def is_totally_nonnegative(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVerdict:
-    """All minors >= 0; witness is the first violation in (size, lex) order."""
+    """All minors >= 0; witness is the first violation in (size, lex) order.
+
+    The C(r+c, r) - 1 minors come from the division-free Laplace walk over
+    row prefixes (_total_scan): at most sum_k k*C(r,k)*C(c,k) integer
+    multiply-adds.  ScanBudgetError is raised before any work when the
+    count exceeds size_guard.
+    """
     return _total_scan(matrix, strict=False, size_guard=size_guard)
 
 
 def is_totally_positive(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVerdict:
-    """All minors > 0; witness is the first violation in (size, lex) order."""
+    """All minors > 0; witness is the first violation in (size, lex) order.
+
+    Same Laplace walk and size_guard as is_totally_nonnegative.
+    """
     return _total_scan(matrix, strict=True, size_guard=size_guard)
 
 

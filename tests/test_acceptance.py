@@ -196,7 +196,7 @@ def test_criterion_11_positive_minors_with_witnesses():
 
 
 def test_criterion_12_nonnegativity_and_perturbation():
-    for m in (2, 4, 6):
+    for m in (2, 4, 6, 8, 10):
         w = standard_weights(m)
         M = weight_matrix(build_three_section(w))
         assert is_totally_nonnegative(M).ok
@@ -209,7 +209,7 @@ def test_criterion_12_nonnegativity_and_perturbation():
         )
         P = weight_matrix(build_three_section(perturbed))
         assert is_totally_positive(P).ok
-    report(12, "standard weights give a nonnegative matrix; 1/1000 perturbation gives a positive one, m<=6")
+    report(12, "standard weights give a nonnegative matrix; 1/1000 perturbation gives a positive one, m<=10")
 
 
 def test_criterion_13_extended_families_and_reconstruction():

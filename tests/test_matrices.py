@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from totalpos import (
     ExactMatrix,
     MinorQuery,
+    MinorWitness,
     ScanBudgetError,
+    ScanVerdict,
     coefficient_matrix,
     constants_from_extras,
     determinant,
@@ -41,6 +44,60 @@ def cofactor_determinant(rows):
         rest = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_determinant(rest)
     return total
+
+
+def total_scan_oracle(matrix, strict):
+    """Independent oracle: one determinant per minor, in (size, lex) order,
+    stopping at the first minor < 0 (or <= 0 when strict)."""
+    r, c = matrix.rows, matrix.cols
+    for k in range(1, min(r, c) + 1):
+        for rows_idx in combinations(range(r), k):
+            for cols_idx in combinations(range(c), k):
+                value = determinant(matrix.submatrix(rows_idx, cols_idx))
+                if value < 0 or strict and value == 0:
+                    query = MinorQuery(
+                        tuple(i + 1 for i in rows_idx), tuple(j + 1 for j in cols_idx)
+                    )
+                    return ScanVerdict(False, MinorWitness(query, value))
+    return ScanVerdict(True, None)
+
+
+def seeded_shapes(seed, entry):
+    """1000 matrices of shapes 1..5 x 1..5, entries from entry(rng)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(1000):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        out.append(ExactMatrix.from_rows([[entry(rng) for _ in range(c)] for _ in range(r)]))
+    return out
+
+
+def perturbed_vandermonde():
+    """Generalized Vandermonde matrices (x_i / 7)^(y_j), totally positive for
+    increasing x and y, with a fifth of the entries moved by +-1/1000."""
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(1000):
+        xs = sorted(rng.sample(range(1, 20), rng.randint(1, 5)))
+        ys = sorted(rng.sample(range(0, 12), rng.randint(1, 5)))
+        out.append(ExactMatrix.from_rows(
+            [[Fraction(x, 7) ** y
+              + (Fraction(rng.choice((-1, 1)), 1000) if rng.random() < 0.2 else 0)
+              for y in ys]
+             for x in xs]
+        ))
+    return out
+
+
+def planted_wide():
+    """A totally positive 2x40 matrix, except the minor on columns 39, 40
+    (the last 2x2 minor in lex order) is -1/2."""
+    second = [Fraction(j) for j in range(1, 40)] + [Fraction(77, 2)]
+    return ExactMatrix.from_rows([[1] * 40, second])
+
+
+def transpose(matrix):
+    return ExactMatrix.from_rows(zip(*matrix.entries))
 
 
 def random_rational_matrices():
@@ -180,6 +237,44 @@ class TestPositivityVerdicts:
         with pytest.raises(ScanBudgetError):
             is_totally_nonnegative(M, size_guard=10)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda: seeded_shapes(
+                    20261018, lambda rng: Fraction(rng.randint(-3, 9), rng.randint(1, 4))
+                ),
+                id="random-rational",
+            ),
+            pytest.param(
+                lambda: seeded_shapes(7, lambda rng: rng.choice((0, 0, 0, 1, 2, -1))),
+                id="zero-heavy",
+            ),
+            pytest.param(perturbed_vandermonde, id="perturbed-vandermonde"),
+            pytest.param(lambda: [planted_wide()], id="wide-2x40"),
+            pytest.param(lambda: [transpose(planted_wide())], id="tall-40x2"),
+            pytest.param(lambda: [ExactMatrix.from_rows([])], id="empty-0x0"),
+        ],
+    )
+    def test_laplace_walk_matches_per_minor_oracle(self, build):
+        """Whole verdicts, witness query and exact value, against the oracle."""
+        verdicts = []
+        for M in build():
+            for strict, scan in ((False, is_totally_nonnegative), (True, is_totally_positive)):
+                verdict = scan(M)
+                assert verdict == total_scan_oracle(M, strict)
+                verdicts.append(verdict)
+        if len(verdicts) > 2:
+            # Each seeded family holds passing and failing matrices.
+            assert {v.ok for v in verdicts} == {True, False}
+
+    def test_planted_witnesses(self):
+        wide = planted_wide()
+        expected = MinorWitness(MinorQuery((1, 2), (39, 40)), Fraction(-1, 2))
+        assert is_totally_positive(wide) == (False, expected)
+        tall = is_totally_nonnegative(transpose(wide))
+        assert tall == (False, MinorWitness(MinorQuery((39, 40), (1, 2)), Fraction(-1, 2)))
+
 
 class TestMaximalMinorScan:
     def test_small_exhaustive_scan(self):
@@ -243,7 +338,7 @@ class TestMaximalMinorScan:
     def test_sampled_mode_is_seed_deterministic(self):
         M = coefficient_matrix(family_polys(8), 8)
         a = maximal_minor_scan(M, mode="sampled", seed=5, sample_count=100)
-        b = maximal_minor_scan(M, mode="sampled", seed=5, sample_count=100, threads=2)
+        b = maximal_minor_scan(M, mode="sampled", seed=5, sample_count=100)
         assert a.mode == "sampled"
         assert a.checked_subsets == 100
         assert (a.seed, a.sample_count) == (5, 100)
