@@ -12,20 +12,24 @@ multiply-adds for an r x c matrix.  A wide matrix is walked as its
 transpose so that the expansion tables span the shorter side.
 
 The scan engine reduces each maximal minor to a small complementary
-minor: pick the lexicographically first invertible row basis B and write
-every remaining row in B-coordinates (matrix C); then for a row subset I
-using k non-basis rows, |det M[I]| = |det B| * |det C[K, Jc]| where Jc is
-the complement of the basis positions I occupies.  So the maximal
-minors of M are, up to the factor |det B| and the row scales, exactly
-the minors of C, the all-basis subset being the empty minor.
+minor.  One Gauss-Jordan reduction of M^T over Q gives the
+lexicographically first invertible row basis B (its pivot columns),
+every remaining row in B-coordinates (matrix C, its other columns) and
+|det B| (the product of its pivots).  For a row subset I using k
+non-basis rows, |det M[I]| = |det B| * |det C[K, Jc]| where Jc is the
+complement of the basis positions I occupies.  So the maximal minors of
+M are, up to the factor |det B| and the row scales, exactly the minors
+of C, the all-basis subset being the empty minor.  When the reduction
+finds fewer pivots than columns, every maximal minor is 0 and no
+determinant is taken.
 
 Exhaustive scans walk the minors of C depth first over (row prefix,
 column prefix) pairs.  Each node keeps a one-step Bareiss state whose
 entries are, by Sylvester's identity, its child minors, so a minor
 costs O(1) big-integer operations instead of a k x k determinant
 (Bareiss, Math. Comp. 22, 1968).  Sampled and fail-fast scans take one
-determinant per subset; sampled ones may spread over worker processes.
-The direct per-subset path is kept and cross-checked in tests.
+determinant of C per subset; sampled ones may spread over worker
+processes.  The per-subset determinant of M[I] is the test oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ScanBudgetError
@@ -376,34 +380,13 @@ def _unrank_combination(rank: int, n: int, k: int) -> list[int]:
             c += 1
     return out
 
-def _next_combination(comb: list[int], n: int) -> bool:
-    """Advance to the lexicographic successor in place; False at the end."""
-    k = len(comb)
-    i = k - 1
-    while i >= 0 and comb[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return False
-    comb[i] += 1
-    for j in range(i + 1, k):
-        comb[j] = comb[j - 1] + 1
-    return True
 
-
-@dataclass(frozen=True)
-class _DirectContext:
-    int_rows: tuple[tuple[int, ...], ...]
-    row_scales: tuple[int, ...]
-    n_rows: int
-    n_cols: int
-
-    def det_parts(self, subset: Sequence[int]) -> tuple[int, int]:
-        """(integer determinant, denominator scale) for one row subset."""
-        d = _bareiss_det([list(self.int_rows[i]) for i in subset])
-        scale = 1
-        for i in subset:
-            scale *= self.row_scales[i]
-        return d, scale
+def _subsets(n: int, k: int, ranks: Optional[Sequence[int]]) -> Iterable[Sequence[int]]:
+    """The k-subsets of range(n): all in lexicographic order when ranks is
+    None, else those of the given lexicographic ranks, in that order."""
+    if ranks is None:
+        return combinations(range(n), k)
+    return (_unrank_combination(rank, n, k) for rank in ranks)
 
 
 @dataclass(frozen=True)
@@ -536,42 +519,24 @@ def _dfs_scan(ctx: _BasisContext):
 
 
 def _scan_chunk(payload):
-    ctx, part, stop_on_failure = payload
+    """(failures, best (|det|, scale), examined) over one run of subsets,
+    one determinant each: every subset in lexicographic order when ranks
+    is None, else the subsets of the given ranks."""
+    ctx, ranks, stop_on_failure = payload
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None  # (|det| numerator part, scale part)
     examined = 0
-    if part[0] == "range":
-        _, start, count = part
-        comb = _unrank_combination(start, ctx.n_rows, ctx.n_cols)
-        remaining = count
-        while remaining > 0:
-            d, scale = ctx.det_parts(comb)
-            examined += 1
-            if d == 0:
-                failures.append(tuple(i + 1 for i in comb))
-                if stop_on_failure:
-                    break
-            else:
-                ad = -d if d < 0 else d
-                if best is None or ad * best[1] < best[0] * scale:
-                    best = (ad, scale)
-            remaining -= 1
-            if remaining and not _next_combination(comb, ctx.n_rows):
-                raise AssertionError("rank range overran the combination space")
-    else:
-        _, ranks = part
-        for rank in ranks:
-            comb = _unrank_combination(rank, ctx.n_rows, ctx.n_cols)
-            d, scale = ctx.det_parts(comb)
-            examined += 1
-            if d == 0:
-                failures.append(tuple(i + 1 for i in comb))
-                if stop_on_failure:
-                    break
-            else:
-                ad = -d if d < 0 else d
-                if best is None or ad * best[1] < best[0] * scale:
-                    best = (ad, scale)
+    for comb in _subsets(ctx.n_rows, ctx.n_cols, ranks):
+        d, scale = ctx.det_parts(comb)
+        examined += 1
+        if d == 0:
+            failures.append(tuple(i + 1 for i in comb))
+            if stop_on_failure:
+                break
+        else:
+            ad = -d if d < 0 else d
+            if best is None or ad * best[1] < best[0] * scale:
+                best = (ad, scale)
     return failures, best, examined
 
 
@@ -588,117 +553,78 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _greedy_row_basis(matrix: ExactMatrix) -> list[int]:
-    """Lexicographically first maximal independent row set.
+def _build_context(matrix: ExactMatrix):
+    """One Gauss-Jordan reduction of M^T over Q.
 
-    Maintains a fully reduced (Gauss-Jordan) pivot set so that reducing a
-    candidate row against the pivots in any order is conclusive.
+    Column i of M^T is row i of M, so the pivot columns are the
+    lexicographically first row basis B; once the last pivot is cleared,
+    each non-pivot column holds the B-coordinates x of its row
+    (x * B = row); and |det B| is the product of the pivot magnitudes,
+    since the other row operations leave it unchanged.  Returns
+    (context, |det B|), or (None, None) when M has rank below its column
+    count.
     """
-    pivots: list[tuple[int, list[Fraction]]] = []  # (pivot column, reduced row)
-    chosen: list[int] = []
-    for idx, row in enumerate(matrix.entries):
-        work = list(row)
-        for pc, prow in pivots:
-            factor = work[pc]
-            if factor:
-                work = [x - factor * y for x, y in zip(work, prow)]
-        pc = next((j for j, x in enumerate(work) if x), None)
-        if pc is None:
-            continue
-        inv = 1 / work[pc]
-        work = [x * inv for x in work]
-        for i, (qc, qrow) in enumerate(pivots):
-            factor = qrow[pc]
-            if factor:
-                pivots[i] = (qc, [x - factor * y for x, y in zip(qrow, work)])
-        pivots.append((pc, work))
-        chosen.append(idx)
-        if len(chosen) == matrix.cols:
-            break
-    return chosen
-
-
-def _invert(matrix: ExactMatrix) -> ExactMatrix:
-    n = matrix.rows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return ExactMatrix(tuple(tuple(row[n:]) for row in aug))
-
-
-def _build_context(matrix: ExactMatrix, force_direct: bool):
-    """Returns (context, |det B| as a Fraction multiplier for min-abs)."""
     r, c = matrix.rows, matrix.cols
-    if not force_direct and r > c:
-        basis = _greedy_row_basis(matrix)
-        if len(basis) == c:
-            b = matrix.submatrix(basis, range(c))
-            det_b = determinant(b)
-            b_inv = _invert(b)
-            basis_pos = [-1] * r
-            for pos, i in enumerate(basis):
-                basis_pos[i] = pos
-            coord_pos = [-1] * r
-            coord_rows = []
-            coord_scales = []
-            b_inv_cols = list(zip(*b_inv.entries))
-            for i in range(r):
-                if basis_pos[i] >= 0:
-                    continue
-                coord = [
-                    sum(x * y for x, y in zip(matrix.entries[i], col))
-                    for col in b_inv_cols
-                ]
-                ints, scale = _int_lift_row(coord)
-                coord_pos[i] = len(coord_rows)
-                coord_rows.append(tuple(ints))
-                coord_scales.append(scale)
-            ctx = _BasisContext(
-                n_rows=r,
-                n_cols=c,
-                basis_pos=tuple(basis_pos),
-                coord_pos=tuple(coord_pos),
-                coord_rows=tuple(coord_rows),
-                coord_scales=tuple(coord_scales),
-            )
-            return ctx, abs(det_b)
-    int_rows = []
-    scales = []
-    for row in matrix.entries:
-        ints, scale = _int_lift_row(row)
-        int_rows.append(tuple(ints))
-        scales.append(scale)
-    ctx = _DirectContext(
-        int_rows=tuple(int_rows), row_scales=tuple(scales), n_rows=r, n_cols=c
+    work = [list(col) for col in zip(*matrix.entries)]
+    basis: list[int] = []
+    abs_det_b = Fraction(1)
+    for j in range(r):
+        k = len(basis)
+        if k == c:
+            break
+        p = next((i for i in range(k, c) if work[i][j]), None)
+        if p is None:
+            continue
+        work[k], work[p] = work[p], work[k]
+        pivot = work[k][j]
+        abs_det_b *= abs(pivot)
+        prow = work[k] = [x / pivot for x in work[k]]
+        for i in range(c):
+            factor = work[i][j]
+            if i != k and factor:
+                work[i] = [x - factor * y for x, y in zip(work[i], prow)]
+        basis.append(j)
+    if len(basis) < c:
+        return None, None
+    basis_pos = [-1] * r
+    for pos, i in enumerate(basis):
+        basis_pos[i] = pos
+    coord_pos = [-1] * r
+    coord_rows = []
+    coord_scales = []
+    for i in range(r):
+        if basis_pos[i] >= 0:
+            continue
+        ints, scale = _int_lift_row([row[i] for row in work])
+        coord_pos[i] = len(coord_rows)
+        coord_rows.append(tuple(ints))
+        coord_scales.append(scale)
+    ctx = _BasisContext(
+        n_rows=r,
+        n_cols=c,
+        basis_pos=tuple(basis_pos),
+        coord_pos=tuple(coord_pos),
+        coord_rows=tuple(coord_rows),
+        coord_scales=tuple(coord_scales),
     )
-    return ctx, Fraction(1)
+    return ctx, abs_det_b
 
 
 def _per_subset_scan(ctx, ranks, checked, threads, fail_fast):
     """One determinant per row subset, in lexicographic (or rank) order;
     sampled scans without fail_fast are spread over worker processes."""
     if ranks is None:
-        return [_scan_chunk((ctx, ("range", 0, checked), fail_fast))]
+        return [_scan_chunk((ctx, None, fail_fast))]
     n_threads = 1 if fail_fast else resolve_threads(threads)
     n_chunks = min(max(1, n_threads * 4), checked) if n_threads > 1 else 1
     bounds = [checked * i // n_chunks for i in range(n_chunks + 1)]
     payloads = [
-        (ctx, ("ranks", tuple(ranks[bounds[i]: bounds[i + 1]])), fail_fast)
+        (ctx, tuple(ranks[bounds[i]: bounds[i + 1]]), fail_fast)
         for i in range(n_chunks)
         if bounds[i + 1] > bounds[i]
     ]
     if n_threads > 1 and len(payloads) > 1 and checked >= 4096:
-        with multiprocessing.get_context("fork").Pool(n_threads) as pool:
+        with multiprocessing.Pool(n_threads) as pool:
             return pool.map(_scan_chunk, payloads)
     return [_scan_chunk(p) for p in payloads]
 
@@ -712,7 +638,6 @@ def maximal_minor_scan(
     threads: Optional[int] = None,
     exhaustive_limit: int = 10**7,
     fail_fast: bool = False,
-    _force_direct: bool = False,
 ) -> GeneralPositionReport:
     """Scan row subsets of size cols; record every zero-determinant subset.
 
@@ -728,8 +653,10 @@ def maximal_minor_scan(
     With fail_fast the scan runs sequentially through the subsets in
     lexicographic (or rank) order and stops at the first zero
     determinant; checked_subsets then counts only the subsets actually
-    examined.  Square and rank-deficient matrices, and _force_direct
-    (the test oracle), also take one determinant per subset.
+    examined.  A square matrix of full rank has one subset, whose
+    |det| is |det B|.  Below full column rank every maximal minor is 0, so
+    the subsets (all, the sampled ones, or the first with fail_fast) are
+    listed as failures without taking a determinant.
     """
     t0 = time.perf_counter()
     r, c = matrix.rows, matrix.cols
@@ -762,9 +689,13 @@ def maximal_minor_scan(
     else:
         raise ValueError(f"unknown mode: {mode!r}")
 
-    ctx, abs_det_b = _build_context(matrix, _force_direct)
+    ctx, abs_det_b = _build_context(matrix)
 
-    if ranks is None and not fail_fast and isinstance(ctx, _BasisContext):
+    if ctx is None:
+        listed = islice(_subsets(r, c, ranks), 1 if fail_fast else None)
+        zeros = [tuple(i + 1 for i in comb) for comb in listed]
+        parts = [(zeros, None, len(zeros))]
+    elif ranks is None and not fail_fast and r > c:
         parts = [_dfs_scan(ctx)]
     else:
         parts = _per_subset_scan(ctx, ranks, checked, threads, fail_fast)

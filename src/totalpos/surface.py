@@ -11,7 +11,9 @@ extra pair (a, b) of distinct rationals contributes the m polynomials
 (z-a)^(m-i) (z-b)^(i-1).  A deterministic search finds pairs keeping the
 whole family in general position, and the null-sum basis expresses every
 family member as an exact linear combination of m fixed quadratic-field
-polynomials whose squares sum to zero.
+polynomials whose squares sum to zero.  Each basis polynomial pairs the
+powers l and 2t-1-l, so those coefficients come in closed form; the one
+elimination over Q(i, sigma) is the Wronskian determinant.
 """
 
 from __future__ import annotations
@@ -331,6 +333,18 @@ def constants_from_extras(
     return FamilyConstants(tuple(pairs))
 
 
+def _family_with_pairs(m: int, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[Polynomial]:
+    """The 3t base polynomials followed by, for each pair (a, b), the m
+    polynomials (z-a)^(m-i) (z-b)^(i-1), i = 1..m."""
+    polys = list(family_polys(m))
+    for a, b in pairs:
+        for i in range(1, m + 1):
+            polys.append(
+                Polynomial.linear_power(a, m - i) * Polynomial.linear_power(b, i - 1)
+            )
+    return polys
+
+
 def extended_family(m: int, constants: FamilyConstants) -> list[Polynomial]:
     """The 3t base polynomials followed by, for each extra pair (a, b),
     the m polynomials (z-a)^(m-i) (z-b)^(i-1), i = 1..m; the total is
@@ -339,13 +353,7 @@ def extended_family(m: int, constants: FamilyConstants) -> list[Polynomial]:
     t = m // 2
     if len(constants.pairs) != t:
         raise ValueError(f"need exactly {t} constant pairs for m = {m}")
-    polys = list(family_polys(m))
-    for a, b in constants.pairs[1:]:
-        for i in range(1, m + 1):
-            polys.append(
-                Polynomial.linear_power(a, m - i) * Polynomial.linear_power(b, i - 1)
-            )
-    return polys
+    return _family_with_pairs(m, constants.pairs[1:])
 
 
 def verify_extended_general_position(
@@ -495,13 +503,7 @@ def _scan_partial(
     seed: int,
     sample_count: int,
 ) -> GeneralPositionReport:
-    polys = list(family_polys(m))
-    for a, b in trial.pairs[1:]:
-        for i in range(1, m + 1):
-            polys.append(
-                Polynomial.linear_power(a, m - i) * Polynomial.linear_power(b, i - 1)
-            )
-    matrix = coefficient_matrix(polys, m)
+    matrix = coefficient_matrix(_family_with_pairs(m, trial.pairs[1:]), m)
     total = math.comb(matrix.rows, m)
     if total <= exhaustive_limit:
         return maximal_minor_scan(matrix, "exhaustive", threads=threads, fail_fast=True)
@@ -539,30 +541,6 @@ def _ext_determinant(rows: list[list[ExtScalar]], disc: int) -> ExtScalar:
                 mat[r][k] - factor * mat[col][k] for k in range(n)
             ]
     return det
-
-
-def _ext_inverse(rows: list[list[ExtScalar]], disc: int) -> list[list[ExtScalar]]:
-    n = len(rows)
-    zero, one = ext_rational(0, disc), ext_rational(1, disc)
-    aug = [
-        row[:] + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not aug[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            raise RuntimeError("internal error: singular basis matrix")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = aug[col][col]._inverse()
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero:
-                continue
-            factor = aug[r][col]
-            aug[r] = [aug[r][k] - factor * aug[col][k] for k in range(2 * n)]
-    return [row[n:] for row in aug]
 
 
 PolyLike = Union[Polynomial, ExtPolynomial]
@@ -625,25 +603,29 @@ class WeierstrassData:
 
 def hyperplane_coefficients(m: int, constants: FamilyConstants) -> WeierstrassData:
     """Express every extended-family polynomial exactly in the null-sum
-    basis: row i solves sum_j c[i][j] * h[j] = f[i].  The h basis matrix
-    is always invertible for even m >= 4."""
+    basis: row i solves sum_j c[i][j] * h[j] = f[i].
+
+    Each h pairs the powers l and 2t-1-l, so the solve is in closed form.
+    With f_k the coefficient of z^k in f, for l <= t-2:
+    c[2l] = (f_l + f_(2t-1-l))/2 and c[2l+1] = -i (f_l - f_(2t-1-l))/2;
+    and c[m-2] = -i sigma (f_(t-1) + f_t)/(2 disc),
+    c[m-1] = sigma (f_(t-1) - f_t)/(2 disc).  ExtScalar folds sigma into
+    the rational part when disc is a perfect square.
+    """
     hs = weierstrass_h(m)
+    t = m // 2
     disc = hs[0].disc
-    basis_rows = [
-        [h.coefficient(k) for k in range(m)] for h in hs
-    ]  # row j = coefficients of h_j
-    inv = _ext_inverse(basis_rows, disc)  # column view: solves x * basis = target
-    fs = extended_family(m, constants)
-    zero = ext_rational(0, disc)
     c_rows = []
-    for f in fs:
-        target = [ext_rational(f.coefficient(k), disc) for k in range(m)]
+    for f in extended_family(m, constants):
         row = []
-        for j in range(m):
-            acc = zero
-            for k in range(m):
-                acc = acc + target[k] * inv[k][j]
-            row.append(acc)
+        for l in range(t - 1):
+            low = Fraction(f.coefficient(l))
+            high = Fraction(f.coefficient(2 * t - 1 - l))
+            row.append(ExtScalar((low + high) / 2, 0, 0, 0, disc))
+            row.append(ExtScalar(0, (high - low) / 2, 0, 0, disc))
+        low, high = Fraction(f.coefficient(t - 1)), Fraction(f.coefficient(t))
+        row.append(ExtScalar(0, 0, 0, -(low + high) / (2 * disc), disc))
+        row.append(ExtScalar(0, 0, (low - high) / (2 * disc), 0, disc))
         c_rows.append(tuple(row))
     return WeierstrassData(
         m=m,

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +33,8 @@ from totalpos import (
     maximal_minor_scan,
     minor,
 )
+import totalpos
+from totalpos.matrices import _bareiss_det
 
 
 def cofactor_determinant(rows):
@@ -60,6 +67,34 @@ def total_scan_oracle(matrix, strict):
                     )
                     return ScanVerdict(False, MinorWitness(query, value))
     return ScanVerdict(True, None)
+
+
+def direct_minors(matrix):
+    """Independent oracle: det M[I] for every row subset I of size cols, in
+    lex order, one Bareiss determinant of the integer-lifted rows each."""
+    lifted = []
+    for row in matrix.entries:
+        scale = math.lcm(*(x.denominator for x in row))
+        lifted.append(([int(x * scale) for x in row], scale))
+    out = []
+    for rows_idx in combinations(range(matrix.rows), matrix.cols):
+        denom = math.prod(lifted[i][1] for i in rows_idx)
+        value = _bareiss_det([lifted[i][0] for i in rows_idx])
+        out.append((rows_idx, Fraction(value, denom)))
+    return out
+
+
+def oracle_report(minors, ranks=None, fail_fast=False):
+    """(failures, min |det| over nonzero ones, checked) over the subsets of
+    the given lex ranks (all when None), stopping at the first zero when
+    fail_fast."""
+    picked = minors if ranks is None else [minors[k] for k in ranks]
+    if fail_fast:
+        zero = next((n for n, (_, d) in enumerate(picked) if d == 0), None)
+        if zero is not None:
+            picked = picked[: zero + 1]
+    failures = tuple(tuple(i + 1 for i in rows_idx) for rows_idx, d in picked if d == 0)
+    return failures, min((abs(d) for _, d in picked if d), default=None), len(picked)
 
 
 def seeded_shapes(seed, entry):
@@ -114,6 +149,36 @@ def random_rational_matrices():
              for _ in range(r)]
         ))
     return out
+
+
+def product_matrices(seed, shape):
+    """300 seeded products L * R of small rational matrices, L of size
+    r x k and R of size k x c for (r, c, k) = shape(rng), so rank <= k."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(300):
+        r, c, k = shape(rng)
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(r)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)]
+                 for _ in range(k)]
+        out.append(ExactMatrix.from_rows(
+            [[sum((left[i][p] * right[p][j] for p in range(k)), Fraction(0))
+              for j in range(c)] for i in range(r)]
+        ))
+    return out
+
+
+def low_rank_shape(rng):
+    """A tall or square shape with rank k in 0 .. cols - 1."""
+    c = rng.randint(1, 5)
+    return rng.randint(c, c + 4), c, rng.randint(0, c - 1)
+
+
+def square_shape(rng):
+    """A square shape, full rank two times in three."""
+    n = rng.randint(1, 5)
+    return n, n, n if rng.random() < 2 / 3 else rng.randint(0, n - 1)
 
 
 def planted_m6(extras):
@@ -307,19 +372,32 @@ class TestMaximalMinorScan:
             pytest.param(
                 lambda: [coefficient_matrix(family_polys(8), 8)], 0, id="m8-family"
             ),
+            pytest.param(lambda: product_matrices(5, low_rank_shape), None, id="low-rank"),
+            pytest.param(lambda: product_matrices(6, square_shape), None, id="square"),
         ],
     )
     def test_direct_and_reduced_engines_agree(self, build, expected_failures):
-        """The exhaustive minor walk against the per-subset direct oracle."""
+        """Exhaustive, fail-fast and sampled scans against one determinant
+        of M[I] per row subset: failures, min |det| and checked count."""
         failures = 0
+        rng = random.Random(20261018)
         for M in build():
-            fast = maximal_minor_scan(M)
-            slow = maximal_minor_scan(M, _force_direct=True)
-            assert fast.failures == slow.failures
-            assert fast.min_abs_nonzero_det == slow.min_abs_nonzero_det
-            assert fast.total_subsets == slow.total_subsets == math.comb(M.rows, M.cols)
-            assert fast.checked_subsets == slow.checked_subsets == fast.total_subsets
-            failures += len(fast.failures)
+            minors = direct_minors(M)
+            total = math.comb(M.rows, M.cols)
+            count = rng.randint(1, min(total, 4000))
+            seed = rng.randrange(10**6)
+            ranks = sorted(random.Random(seed).sample(range(total), count))
+            sampled = {"mode": "sampled", "seed": seed, "sample_count": count, "threads": 1}
+            for kwargs, expected in (
+                ({}, oracle_report(minors)),
+                ({"fail_fast": True}, oracle_report(minors, fail_fast=True)),
+                (sampled, oracle_report(minors, ranks)),
+                ({**sampled, "fail_fast": True}, oracle_report(minors, ranks, fail_fast=True)),
+            ):
+                rep = maximal_minor_scan(M, **kwargs)
+                assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == expected
+                assert rep.total_subsets == total
+            failures += len(oracle_report(minors)[0])
         if expected_failures is None:
             assert failures > 100
         else:
@@ -334,6 +412,44 @@ class TestMaximalMinorScan:
         assert one.failures
         assert one.failures == two.failures
         assert one.min_abs_nonzero_det == two.min_abs_nonzero_det
+
+    def test_worker_pool_runs_without_fork(self):
+        """A child interpreter with the spawn start method and os.fork
+        disabled runs the pooled sampled scan and matches this process."""
+        (M,) = planted_m6([(-1, 2), (3, -2)])
+        here = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=1)
+        code = textwrap.dedent("""
+            import json, multiprocessing, os
+
+            def no_fork():
+                raise OSError("fork is disabled in this interpreter")
+
+            os.fork = no_fork
+            multiprocessing.set_start_method("spawn")
+            from totalpos import (
+                coefficient_matrix, constants_from_extras, extended_family,
+                maximal_minor_scan,
+            )
+            family = extended_family(6, constants_from_extras([(-1, 2), (3, -2)]))
+            rep = maximal_minor_scan(
+                coefficient_matrix(family, 6), mode="sampled", seed=3,
+                sample_count=5000, threads=2,
+            )
+            print(json.dumps(rep.to_json_dict()))
+        """)
+        src = os.path.dirname(os.path.dirname(totalpos.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        there = json.loads(child.stdout)
+        assert here.failures
+        expected = here.to_json_dict()
+        expected["elapsed_ms"] = there["elapsed_ms"]
+        assert there == expected
 
     def test_sampled_mode_is_seed_deterministic(self):
         M = coefficient_matrix(family_polys(8), 8)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -274,6 +276,35 @@ class TestHyperplaneCoefficients:
                 for j in range(m):
                     acc = acc + data.h[j].scale(data.c[i][j])
                 assert (acc - ExtPolynomial.from_rational(f, disc)).is_zero
+
+    @pytest.mark.parametrize("m", range(4, 25, 2))
+    def test_closed_form_reconstructs_seeded_families(self, m):
+        """sum_j c[i][j] h[j] = f[i] exactly for seeded constants (no
+        search), in both sigma branches: disc = t - 1 is a perfect square
+        at m = 4, 10, 20, where sigma folds into the rational part."""
+        rng = random.Random(m)
+        values = [Fraction(0), Fraction(1)]
+        while len(values) < m:
+            v = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            if v not in values:
+                values.append(v)
+        constants = constants_from_extras(zip(values[2::2], values[3::2]))
+        data = hyperplane_coefficients(m, constants)
+        hs = weierstrass_h(m)
+        assert data.h == tuple(hs)
+        disc = hs[0].disc
+        zero = ext_rational(0, disc)
+        fam = extended_family(m, constants)
+        assert len(data.c) == len(fam) == m * (m + 1) // 2
+        for f, row in zip(fam, data.c):
+            acc = [zero] * m
+            for c, h in zip(row, hs):
+                for k, x in enumerate(h.coeffs):
+                    if not x.is_zero:
+                        acc[k] = acc[k] + c * x
+            assert acc == [ext_rational(f.coefficient(k), disc) for k in range(m)]
+        radical = any(x.sre or x.sim for row in data.c for x in row)
+        assert radical == (math.isqrt(disc) ** 2 != disc)
 
     def test_root_list_matches_constants(self):
         res = search_constants(4)
