@@ -67,6 +67,16 @@ def _even_m(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _m_list(text: str) -> list[int]:
     out = []
     for piece in text.split(","):
@@ -92,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument(
                 "--threads",
-                type=int,
+                type=_positive_int,
                 default=None,
                 help="worker processes for sampled scans (default: TOTALPOS_THREADS or CPU count)",
             )

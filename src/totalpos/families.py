@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .matrices import (
     ExactMatrix,
     GeneralPositionReport,
+    _laplace_walk,
     determinant,
     diagonal,
     identity,
@@ -203,37 +204,47 @@ def positive_minor_scan(
     """Check positivity of every block-matrix minor whose column set
     contains {t+1, ..., m}; optionally attach a positive path-collection
     witness from the standard network for each one.
-    """
-    from itertools import combinations
 
+    One Laplace walk over the block matrix's row prefixes yields every
+    minor; those whose columns end in the tail {t+1, ..., m} are kept and
+    reported by (number of extra columns, extra columns, rows), each set
+    in lex order.
+    """
     t = _check_even(m)
     t0 = time.perf_counter()
     block = binomial_block_matrix(m)
+    tail = tuple(range(t, m))
+    kept = []  # (extra columns, rows, value), 0-based
+    picks: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # size -> (index, extra)
+
+    def visit(node, subsets, minors, scale) -> bool:
+        s = len(node)
+        if s >= t:
+            if s not in picks:
+                picks[s] = [(k, cols[: s - t]) for k, cols in enumerate(subsets)
+                            if cols[s - t:] == tail]
+            for k, extra in picks[s]:
+                kept.append((extra, node, Fraction(minors[k], scale)))
+        return True
+
+    _laplace_walk(block.entries, visit)
+    kept.sort(key=lambda item: (len(item[0]), item[0], item[1]))
     net = build_three_section(standard_weights(m)) if with_witnesses else None
-    tail = tuple(range(t + 1, m + 1))
     violations = []
     missing = []
-    total = 0
-    for extra_size in range(0, t + 1):
-        size = t + extra_size
-        for extra in combinations(range(1, t + 1), extra_size):
-            cols = tuple(extra) + tail
-            for rows in combinations(range(1, m + 1), size):
-                total += 1
-                sub = block.submatrix([i - 1 for i in rows], [j - 1 for j in cols])
-                value = determinant(sub)
-                if value <= 0:
-                    violations.append((rows, cols, value))
-                elif with_witnesses:
-                    found = find_positive_collection(
-                        net, rows, cols, budget=witness_budget
-                    )
-                    if found is None:
-                        missing.append((rows, cols))
+    for extra, rows0, value in kept:
+        rows = tuple(i + 1 for i in rows0)
+        cols = tuple(j + 1 for j in extra + tail)
+        if value <= 0:
+            violations.append((rows, cols, value))
+        elif with_witnesses:
+            found = find_positive_collection(net, rows, cols, budget=witness_budget)
+            if found is None:
+                missing.append((rows, cols))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return PositiveMinorReport(
         m=m,
-        total_minors=total,
+        total_minors=len(kept),
         violations=tuple(violations),
         witnesses_attached=with_witnesses,
         missing_witnesses=tuple(missing),

@@ -4,12 +4,17 @@ Fraction-free (Bareiss) determinants over a common-denominator integer
 lift, minor queries, total-nonnegativity/positivity scans, and the
 maximal-minor scan engine that backs general-position certificates.
 
-The total scans walk row prefixes depth first.  A node holds every
-minor on its rows, and a child gets its minors by Laplace expansion
-along its new last row from its parent's, with no division, so zero
-minors cost nothing extra: at most sum_k k*C(r,k)*C(c,k) integer
-multiply-adds for an r x c matrix.  A wide matrix is walked as its
-transpose so that the expansion tables span the shorter side.
+One walk enumerates minors for every exhaustive scan (_laplace_walk).
+It visits row prefixes depth first.  A node holds every minor on its
+rows, and a child gets its minors by Laplace expansion along its new
+last row from its parent's, with no division, so zero minors cost
+nothing extra: at most sum_k k*C(r,k)*C(c,k) integer multiply-adds for
+an r x c matrix.  A wide matrix is walked as its transpose so that the
+expansion tables span the shorter side.  It has three consumers: the
+TNN/TP verdicts here, which keep the least violation and prune below
+it; exhaustive maximal-minor scans, which walk the coordinate matrix C
+below; and the positive-minor scan of the families module, which keeps
+the minors whose columns contain the tail block.
 
 The scan engine reduces each maximal minor to a small complementary
 minor.  One Gauss-Jordan reduction of M^T over Q gives the
@@ -21,13 +26,7 @@ complement of the basis positions I occupies.  So the maximal minors of
 M are, up to the factor |det B| and the row scales, exactly the minors
 of C, the all-basis subset being the empty minor.  When the reduction
 finds fewer pivots than columns, every maximal minor is 0 and no
-determinant is taken.
-
-Exhaustive scans walk the minors of C depth first over (row prefix,
-column prefix) pairs.  Each node keeps a one-step Bareiss state whose
-entries are, by Sylvester's identity, its child minors, so a minor
-costs O(1) big-integer operations instead of a k x k determinant
-(Bareiss, Math. Comp. 22, 1968).  Sampled and fail-fast scans take one
+determinant is taken.  Sampled and fail-fast scans take one
 determinant of C per subset; sampled ones may spread over worker
 processes.  The per-subset determinant of M[I] is the test oracle.
 """
@@ -42,7 +41,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ScanBudgetError
 from .scalars import format_rational
@@ -240,78 +239,89 @@ def _laplace_tables(n: int) -> list:
     return out
 
 
-def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdict:
-    """Every minor, depth first over row prefixes, by Laplace expansion.
+def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
+    """Every minor of a rational matrix, depth first over row prefixes.
 
     A node is a row set I; it holds the vector of det A[I, J] over the
     |I|-subsets J of the columns in lex order.  The child I + (i), for
     i > max I, gets each minor by expansion along its new last row:
     det A[I+i, J] = sum_p (-1)^(|I|+p) a[i][j_p] det A[I, J - j_p], with
     p counted from 0.  The update never divides, so zero minors cost
-    nothing extra, and zero entries of the new row are skipped; a scan
+    nothing extra, and zero entries of the new row are skipped; a walk
     takes at most sum_k k*C(r,k)*C(c,k) big-integer multiply-adds.
 
-    Rows are lifted to integers once; the positive row scales keep every
-    sign, and the witness value is the integer minor over the product of
-    its row scales.  A wide matrix is walked as its transpose, so the
-    tables span the shorter side.  The witness is the least (size, rows,
-    cols) key among violations; nodes larger than the best size found so
-    far are not visited.
+    A wide matrix (more columns than rows) is walked as its transpose,
+    so the expansion tables span the shorter side; "rows" below are the
+    walked ones.  Each walked row is lifted to integers once, so a node's
+    minors are integers over one positive scale, the product of its row
+    scales, and keep their signs.  For every node, in depth-first order,
+    visit(node, subsets, minors, scale) gets the row tuple, the column
+    subsets in lex order, the integer minors and the scale; the walk
+    descends below the node only when visit returns true.
     """
-    r, c = matrix.rows, matrix.cols
-    count = _minor_count(r, c)
-    if count > size_guard:
-        raise ScanBudgetError(
-            f"total-minor scan needs {count} minors, over the guard {size_guard}"
-        )
-    lifted = [_int_lift_row(row) for row in matrix.entries]
-    grid = [ints for ints, _ in lifted]
-    transposed = c > r
-    if transposed:
-        grid = [list(col) for col in zip(*grid)]
-    depth = min(r, c)
+    grid = list(entries)
+    if grid and len(grid[0]) > len(grid):
+        grid = list(zip(*grid))
+    lifted = [_int_lift_row(row) for row in grid]
+    depth = min(len(grid), len(grid[0])) if grid else 0
     tables = _laplace_tables(depth)
-    best: Optional[tuple[tuple, int]] = None  # ((size, rows, cols), minor)
 
-    def walk(rows: list[int], parent: list[int], s: int) -> None:
-        nonlocal best
+    def walk(node: tuple, parent: list[int], scale: int) -> None:
+        s = len(node) + 1
         subsets, plus, minus = tables[s]
-        for i in range(rows[-1] + 1 if rows else 0, len(grid)):
+        for i in range(node[-1] + 1 if node else 0, len(lifted)):
+            row, row_scale = lifted[i]
             minors = [0] * len(subsets)
-            for j, a in enumerate(grid[i]):
+            for j, a in enumerate(row):
                 if a:
                     for t, q in plus[j]:
                         minors[t] += a * parent[q]
                     for t, q in minus[j]:
                         minors[t] -= a * parent[q]
-            node = rows + [i]
-            low = min(minors)
-            if low < 0 or strict and low == 0:
-                t = next(t for t, x in enumerate(minors) if x < 0 or strict and x == 0)
-                cols = subsets[t]
-                key = (s, cols, tuple(node)) if transposed else (s, tuple(node), cols)
-                if best is None or key < best[0]:
-                    best = (key, minors[t])
-            if s < depth and (best is None or s < best[0][0]):
-                walk(node, minors, s + 1)
+            child, child_scale = node + (i,), scale * row_scale
+            if visit(child, subsets, minors, child_scale) and s < depth:
+                walk(child, minors, child_scale)
 
     if depth:
-        walk([], [1], 1)
+        walk((), [1], 1)
+
+
+def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdict:
+    """The least (size, rows, cols) minor < 0 (or <= 0 when strict), from
+    one Laplace walk; nodes larger than the best violation found so far
+    are not visited."""
+    count = _minor_count(matrix.rows, matrix.cols)
+    if count > size_guard:
+        raise ScanBudgetError(
+            f"total-minor scan needs {count} minors, over the guard {size_guard}"
+        )
+    transposed = matrix.cols > matrix.rows
+    best: Optional[tuple[tuple, Fraction]] = None  # ((size, rows, cols), minor)
+
+    def visit(node, subsets, minors, scale) -> bool:
+        nonlocal best
+        low = min(minors)
+        if low < 0 or strict and low == 0:
+            t = next(t for t, x in enumerate(minors) if x < 0 or strict and x == 0)
+            cols = subsets[t]
+            key = (len(node), cols, node) if transposed else (len(node), node, cols)
+            if best is None or key < best[0]:
+                best = (key, Fraction(minors[t], scale))
+        return best is None or len(node) < best[0][0]
+
+    _laplace_walk(matrix.entries, visit)
     if best is None:
         return ScanVerdict(True, None)
     (_, rows_idx, cols_idx), value = best
-    denom = 1
-    for i in rows_idx:
-        denom *= lifted[i][1]
     query = MinorQuery(tuple(i + 1 for i in rows_idx), tuple(j + 1 for j in cols_idx))
-    return ScanVerdict(False, MinorWitness(query, Fraction(value, denom)))
+    return ScanVerdict(False, MinorWitness(query, value))
 
 
 def is_totally_nonnegative(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVerdict:
     """All minors >= 0; witness is the first violation in (size, lex) order.
 
     The C(r+c, r) - 1 minors come from the division-free Laplace walk over
-    row prefixes (_total_scan): at most sum_k k*C(r,k)*C(c,k) integer
+    row prefixes (_laplace_walk): at most sum_k k*C(r,k)*C(c,k) integer
     multiply-adds.  ScanBudgetError is raised before any work when the
     count exceeds size_guard.
     """
@@ -397,6 +407,7 @@ class _BasisContext:
     n_cols: int
     basis_pos: tuple[int, ...]  # row index -> basis position, -1 if non-basis
     coord_pos: tuple[int, ...]  # row index -> C row index, -1 if basis row
+    coord: tuple[tuple[Fraction, ...], ...]  # C, one row per non-basis row
     coord_rows: tuple[tuple[int, ...], ...]  # C, integer-lifted per row
     coord_scales: tuple[int, ...]
 
@@ -419,103 +430,51 @@ class _BasisContext:
         return _bareiss_det(sub), scale
 
 
-def _dfs_scan(ctx: _BasisContext):
-    """Every minor of the coordinate matrix C, depth first over (K, J).
+def _walk_scan(ctx: _BasisContext):
+    """Every minor of the coordinate matrix C, from one Laplace walk.
 
-    A node (K, J) carries its minor v = det C[K, J] and the one-step
-    Bareiss state S[a][b] = det C[K + a, J + b] over the rows a after
-    max K and the columns b after max J, so each entry of S is a child
-    minor.  By Sylvester's identity the state of the child (a, b) is
-    (S[a][b] * S[a'][b'] - S[a][b'] * S[a'][b]) // v over a' > a, b' > b,
-    which makes each minor cost O(1) big-integer operations.  A child
-    whose minor is zero cannot serve as a divisor; its subtree is walked
-    by direct determinants instead.
-
-    The node (K, J) stands for the row subset made of the basis rows at
-    the positions outside J and the non-basis rows K; the root
-    (K, J) = ((), ()) is the all-basis subset.  Returns the same
-    (failures, best (|det|, scale), examined) triple as _scan_chunk, with
-    the failures in lexicographic order.
+    The minor det C[K, J] stands for the row subset made of the basis
+    rows at the positions outside J and the non-basis rows K; the empty
+    minor, 1, is the all-basis subset.  A wide C is walked as its
+    transpose, so a node is then a column set J and its minors run over
+    the row sets K.  Returns the same (failures, best (|det|, scale),
+    examined) triple as _scan_chunk, with the failures in lexicographic
+    order.
     """
-    coord = ctx.coord_rows
-    scales = ctx.coord_scales
-    n_r, n_c = len(coord), ctx.n_cols
-    failures: list[tuple[list[int], list[int]]] = []
-    # |det C[K, J]| and prod scales[K] of the smallest nonzero minor so far;
-    # the root's empty minor is 1 with scale 1.
-    best = [1, 1]
+    transposed = ctx.n_cols > len(ctx.coord)
+    zeros: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (K, J)
+    # The smallest nonzero |det C[K, J]| so far, as (|integer minor|,
+    # scale); the root's empty minor is 1 with scale 1.
+    best = (1, 1)
     count = 1
 
-    def offer(ad: int, scale: int) -> None:
-        if ad * best[1] < best[0] * scale:
-            best[0], best[1] = ad, scale
+    def visit(node, subsets, minors, scale) -> bool:
+        nonlocal best, count
+        count += len(minors)
+        if 0 in minors:
+            for other, x in zip(subsets, minors):
+                if not x:
+                    zeros.append((other, node) if transposed else (node, other))
+            low = min((abs(x) for x in minors if x), default=None)
+        else:
+            low = min(map(abs, minors))
+        if low is not None and low * best[1] < best[0] * scale:
+            best = (low, scale)
+        return True
 
-    def direct(kk, jj, s_rows):
-        # The subtree below the zero minor C[kk, jj], one determinant a node.
-        nonlocal count
-        for k in range(1, min(n_r - kk[-1], n_c - jj[-1])):
-            for extra_r in combinations(range(kk[-1] + 1, n_r), k):
-                rows = kk + list(extra_r)
-                scale = s_rows
-                for a in extra_r:
-                    scale *= scales[a]
-                picked = [coord[a] for a in rows]
-                for extra_c in combinations(range(jj[-1] + 1, n_c), k):
-                    cols = jj + list(extra_c)
-                    d = _bareiss_det([[row[b] for b in cols] for row in picked])
-                    count += 1
-                    if d == 0:
-                        failures.append((rows, cols))
-                    else:
-                        offer(abs(d), scale)
-
-    def walk(kk, jj, state, v, a0, b0, s_rows):
-        nonlocal count
-        n = len(state)
-        width = len(state[0])
-        count += n * width
-        for i in range(n):
-            row = state[i]
-            a = a0 + i
-            scale = s_rows * scales[a]
-            if 0 in row:
-                nonzero = []
-                for j, x in enumerate(row):
-                    if x:
-                        nonzero.append(abs(x))
-                    else:
-                        failures.append((kk + [a], jj + [b0 + j]))
-                if nonzero:
-                    offer(min(nonzero), scale)
-            else:
-                offer(min(map(abs, row)), scale)
-            if i + 1 == n:
-                break
-            for j in range(width - 1):
-                p = row[j]
-                if p == 0:
-                    direct(kk + [a], jj + [b0 + j], scale)
-                    continue
-                tail = row[j + 1:]
-                child = []
-                for below in state[i + 1:]:
-                    f = below[j]
-                    child.append([(p * x - f * y) // v for x, y in zip(below[j + 1:], tail)])
-                walk(kk + [a], jj + [b0 + j], child, p, a + 1, b0 + j + 1, scale)
-
-    walk([], [], [list(r) for r in coord], 1, 0, 0, 1)
+    _laplace_walk(ctx.coord, visit)
     expected = math.comb(ctx.n_rows, ctx.n_cols)
     if count != expected:
         raise AssertionError(f"minor walk visited {count} of {expected} subsets")
     basis_rows = [i for i, p in enumerate(ctx.basis_pos) if p >= 0]
     coord_to_row = [i for i, p in enumerate(ctx.basis_pos) if p < 0]
-    subsets = []
-    for kk, jj in failures:
+    failures = []
+    for kk, jj in zeros:
         outside = set(range(ctx.n_cols)) - set(jj)
         rows = [basis_rows[p] for p in outside] + [coord_to_row[k] for k in kk]
-        subsets.append(tuple(sorted(i + 1 for i in rows)))
-    subsets.sort()
-    return subsets, (best[0], best[1]), count
+        failures.append(tuple(sorted(i + 1 for i in rows)))
+    failures.sort()
+    return failures, best, count
 
 
 def _scan_chunk(payload):
@@ -590,22 +549,20 @@ def _build_context(matrix: ExactMatrix):
     for pos, i in enumerate(basis):
         basis_pos[i] = pos
     coord_pos = [-1] * r
-    coord_rows = []
-    coord_scales = []
+    coord = []
     for i in range(r):
-        if basis_pos[i] >= 0:
-            continue
-        ints, scale = _int_lift_row([row[i] for row in work])
-        coord_pos[i] = len(coord_rows)
-        coord_rows.append(tuple(ints))
-        coord_scales.append(scale)
+        if basis_pos[i] < 0:
+            coord_pos[i] = len(coord)
+            coord.append(tuple(row[i] for row in work))
+    lifted = [_int_lift_row(row) for row in coord]
     ctx = _BasisContext(
         n_rows=r,
         n_cols=c,
         basis_pos=tuple(basis_pos),
         coord_pos=tuple(coord_pos),
-        coord_rows=tuple(coord_rows),
-        coord_scales=tuple(coord_scales),
+        coord=tuple(coord),
+        coord_rows=tuple(tuple(ints) for ints, _ in lifted),
+        coord_scales=tuple(scale for _, scale in lifted),
     )
     return ctx, abs_det_b
 
@@ -642,20 +599,19 @@ def maximal_minor_scan(
     """Scan row subsets of size cols; record every zero-determinant subset.
 
     Exhaustive mode covers all C(rows, cols) subsets.  When the matrix has
-    full column rank and more rows than columns, it walks every minor of
-    the coordinate matrix depth first in one process (_dfs_scan), at
-    O(1) big-integer operations per subset; failures are reported in
-    lexicographic order.  Sampled mode draws sample_count distinct subsets
-    with the given seed and takes one determinant per subset in rank
-    order, spread over `threads` worker processes.  The report is
+    full column rank, one Laplace walk over the coordinate matrix C
+    (_walk_scan) yields every maximal minor in one process, failures in
+    lexicographic order; a square matrix has an empty C, and its one
+    subset's |det| is |det B|.  Sampled mode draws sample_count distinct
+    subsets with the given seed and takes one determinant per subset in
+    rank order, spread over `threads` worker processes.  The report is
     identical for any thread count.
 
     With fail_fast the scan runs sequentially through the subsets in
     lexicographic (or rank) order and stops at the first zero
     determinant; checked_subsets then counts only the subsets actually
-    examined.  A square matrix of full rank has one subset, whose
-    |det| is |det B|.  Below full column rank every maximal minor is 0, so
-    the subsets (all, the sampled ones, or the first with fail_fast) are
+    examined.  Below full column rank every maximal minor is 0, so the
+    subsets (all, the sampled ones, or the first with fail_fast) are
     listed as failures without taking a determinant.
     """
     t0 = time.perf_counter()
@@ -695,8 +651,8 @@ def maximal_minor_scan(
         listed = islice(_subsets(r, c, ranks), 1 if fail_fast else None)
         zeros = [tuple(i + 1 for i in comb) for comb in listed]
         parts = [(zeros, None, len(zeros))]
-    elif ranks is None and not fail_fast and r > c:
-        parts = [_dfs_scan(ctx)]
+    elif ranks is None and not fail_fast:
+        parts = [_walk_scan(ctx)]
     else:
         parts = _per_subset_scan(ctx, ranks, checked, threads, fail_fast)
 

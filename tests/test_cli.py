@@ -160,6 +160,24 @@ class TestBench:
         assert all(c["pass"] for c in cert["checks"])
 
 
+class TestThreadsFlag:
+    @pytest.mark.parametrize(
+        "command", [["verify", "--m", "4"], ["extend", "--m", "4"], ["bench", "--m-list", "2"]]
+    )
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_is_a_usage_error(self, capsys, command, threads):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--threads", threads])
+        assert info.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "--threads" in payload["error"]
+
+    def test_positive_count_is_recorded(self, capsys):
+        code, cert = run_json(capsys, ["verify", "--m", "4", "--threads", "1"])
+        assert code == 0
+        assert cert["threads"] == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import totalpos.families
 from totalpos import (
     ExactMatrix,
     MinorQuery,
@@ -14,7 +16,9 @@ from totalpos import (
     block_determinants,
     build_three_section,
     coefficient_matrix,
+    determinant,
     family_polys,
+    find_positive_collection,
     general_position,
     matmul,
     minor,
@@ -25,6 +29,46 @@ from totalpos import (
     verify_network_equals_block_matrix,
     weight_matrix,
 )
+from totalpos.families import PositiveMinorReport
+
+
+def positive_minor_oracle(m, with_witnesses=False):
+    """Independent oracle: one determinant per block-matrix minor whose
+    columns contain {t+1, ..., m}, by (extra size, extra, rows), with
+    elapsed_ms 0.  It reads the block matrix through the families module,
+    so a patched block reaches it too."""
+    t = m // 2
+    block = totalpos.families.binomial_block_matrix(m)
+    net = build_three_section(standard_weights(m)) if with_witnesses else None
+    tail = tuple(range(t + 1, m + 1))
+    violations = []
+    missing = []
+    total = 0
+    for extra_size in range(0, t + 1):
+        for extra in combinations(range(1, t + 1), extra_size):
+            cols = extra + tail
+            for rows in combinations(range(1, m + 1), t + extra_size):
+                total += 1
+                value = determinant(
+                    block.submatrix([i - 1 for i in rows], [j - 1 for j in cols])
+                )
+                if value <= 0:
+                    violations.append((rows, cols, value))
+                elif with_witnesses and find_positive_collection(net, rows, cols) is None:
+                    missing.append((rows, cols))
+    return PositiveMinorReport(
+        m=m,
+        total_minors=total,
+        violations=tuple(violations),
+        witnesses_attached=with_witnesses,
+        missing_witnesses=tuple(missing),
+        elapsed_ms=0,
+    )
+
+
+def without_timing(report):
+    return report.to_json_dict() | {"elapsed_ms": 0}
+
 
 # Expanded coefficient rows for the three smallest families, frozen by hand.
 COEFFS_M2 = [
@@ -211,3 +255,32 @@ class TestPositiveMinorScan:
         assert d["m"] == 2
         assert d["total_minors"] == 3
         assert d["violations"] == []
+
+    @pytest.mark.parametrize(
+        "m, with_witnesses",
+        [(m, False) for m in range(2, 11, 2)] + [(m, True) for m in range(2, 9, 2)],
+    )
+    def test_laplace_walk_matches_per_minor_oracle(self, m, with_witnesses):
+        rep = positive_minor_scan(m, with_witnesses=with_witnesses)
+        assert without_timing(rep) == without_timing(positive_minor_oracle(m, with_witnesses))
+
+    def test_planted_violations_match_the_oracle(self, monkeypatch):
+        """The m=6 block with entry (1, 4) raised from 1 to 5/2: 15 of the 84
+        qualifying minors turn <= 0, one of them to 0, and their values
+        (over the non-unit row scale) and order match."""
+        block = binomial_block_matrix(6)
+        rows = [list(row) for row in block.entries]
+        rows[0][3] = Fraction(5, 2)
+        planted = ExactMatrix.from_rows(rows)
+        monkeypatch.setattr(totalpos.families, "binomial_block_matrix", lambda m: planted)
+        rep = positive_minor_scan(6)
+        expected = positive_minor_oracle(6)
+        assert rep.violations == expected.violations
+        assert without_timing(rep) == without_timing(expected)
+        values = [value for _, _, value in rep.violations]
+        assert len(values) == 15 and values.count(0) == 1
+
+    def test_m12_every_qualifying_minor_is_positive(self):
+        rep = positive_minor_scan(12)
+        assert rep.ok
+        assert rep.total_minors == 18564

@@ -32,6 +32,7 @@ from totalpos import (
     matmul,
     maximal_minor_scan,
     minor,
+    resolve_threads,
 )
 import totalpos
 from totalpos.matrices import _bareiss_det
@@ -137,8 +138,9 @@ def transpose(matrix):
 
 def random_rational_matrices():
     """300 seeded tall matrices with small rational entries.  They have
-    many zero minors, so zero pivots and their direct-subtree fallback
-    run, and the denominators give non-unit row scales."""
+    many zero minors, their denominators give non-unit row scales, and
+    their coordinate matrices C come both wide (walked as the transpose)
+    and tall."""
     rng = random.Random(20261018)
     out = []
     for _ in range(300):
@@ -482,3 +484,27 @@ class TestMaximalMinorScan:
         assert d["failures"] == []
         assert d["min_abs_nonzero_det"] == "1"
         assert isinstance(d["elapsed_ms"], int)
+
+
+class TestResolveThreads:
+    def test_flag_wins_over_environment(self, monkeypatch):
+        monkeypatch.setenv("TOTALPOS_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_threads(2) == 2
+
+    def test_environment_wins_over_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("TOTALPOS_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_threads() == 3
+
+    def test_cpu_count_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("TOTALPOS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_threads() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_threads() == 1
+
+    def test_non_integer_environment_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("TOTALPOS_THREADS", "two")
+        with pytest.raises(ValueError, match="TOTALPOS_THREADS"):
+            resolve_threads()
