@@ -205,29 +205,37 @@ def positive_minor_scan(
     contains {t+1, ..., m}; optionally attach a positive path-collection
     witness from the standard network for each one.
 
-    One Laplace walk over the block matrix's row prefixes yields every
-    minor; those whose columns end in the tail {t+1, ..., m} are kept and
-    reported by (number of extra columns, extra columns, rows), each set
-    in lex order.
+    One Laplace walk yields the minors, tail first: it walks the
+    transposed block with the columns in descending order, so a node is
+    a column set (m, m-1, ...) and the tail {t+1, ..., m} is exactly its
+    first t entries.  A node that does not start with the tail is not
+    descended into, and a node that contains it holds the minors on every
+    row set; each minor is taken times the reversal sign
+    (-1)^(s(s-1)/2) that restores ascending column order.  The kept
+    minors are reported by (number of extra columns, extra columns,
+    rows), each set in lex order.
     """
     t = _check_even(m)
     t0 = time.perf_counter()
     block = binomial_block_matrix(m)
     tail = tuple(range(t, m))
+    head = tuple(range(t))  # the tail's walk positions
     kept = []  # (extra columns, rows, value), 0-based
-    picks: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # size -> (index, extra)
 
     def visit(node, subsets, minors, scale) -> bool:
         s = len(node)
+        if node[:t] != head[:s]:
+            return False
         if s >= t:
-            if s not in picks:
-                picks[s] = [(k, cols[: s - t]) for k, cols in enumerate(subsets)
-                            if cols[s - t:] == tail]
-            for k, extra in picks[s]:
-                kept.append((extra, node, Fraction(minors[k], scale)))
+            extra = tuple(sorted(m - 1 - i for i in node[t:]))
+            sign = -1 if s * (s - 1) // 2 % 2 else 1
+            kept.extend(
+                (extra, rows, Fraction(sign * minor, scale))
+                for rows, minor in zip(subsets, minors)
+            )
         return True
 
-    _laplace_walk(block.entries, visit)
+    _laplace_walk([list(col) for col in zip(*block.entries)][::-1], visit)
     kept.sort(key=lambda item: (len(item[0]), item[0], item[1]))
     net = build_three_section(standard_weights(m)) if with_witnesses else None
     violations = []

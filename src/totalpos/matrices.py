@@ -13,8 +13,9 @@ an r x c matrix.  A wide matrix is walked as its transpose so that the
 expansion tables span the shorter side.  It has three consumers: the
 TNN/TP verdicts here, which keep the least violation and prune below
 it; exhaustive maximal-minor scans, which walk the coordinate matrix C
-below; and the positive-minor scan of the families module, which keeps
-the minors whose columns contain the tail block.
+below; and the positive-minor scan of the families module, which walks
+the block's columns tail first and keeps the minors whose columns
+contain the tail block.
 
 The scan engine reduces each maximal minor to a small complementary
 minor.  One Gauss-Jordan reduction of M^T over Q gives the
@@ -506,9 +507,12 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     env = os.environ.get("TOTALPOS_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
             raise ValueError(f"TOTALPOS_THREADS is not an integer: {env!r}")
+        if value < 1:
+            raise ValueError(f"TOTALPOS_THREADS must be a positive integer: {env!r}")
+        return value
     return os.cpu_count() or 1
 
 

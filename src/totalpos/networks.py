@@ -6,6 +6,15 @@ sweep per source, never by path enumeration.  Path enumeration is kept
 separately as the small-instance oracle for the determinant =
 disjoint-collection-sum identity, which this module guarantees only for
 the built-in constructions (the three-section network and the grid).
+
+Positive path collections are routed greedily, pair by pair in boundary
+order, each along the lowest positive path that avoids the earlier ones,
+over a positive-edge adjacency built once per sink and pruned to the
+heads that can still reach it.  In the built-in constructions every
+edge joins adjacent columns, no two edges of one slot cross and both
+boundaries are ordered by level, so disjoint paths cannot cross and
+greedy routing finds a collection whenever one exists; on any network,
+a collection it returns is genuine.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ def _as_vertex(v) -> Vertex:
 class PlanarNetwork:
     """Immutable weighted DAG with ordered source and sink boundaries."""
 
-    __slots__ = ("vertices", "edges", "sources", "sinks", "_adj")
+    __slots__ = ("vertices", "edges", "sources", "sinks", "_adj", "_routes")
 
     def __init__(self, vertices, edges, sources, sinks):
         vset = {_as_vertex(v) for v in vertices}
@@ -83,6 +92,7 @@ class PlanarNetwork:
         for tail, head, w in self.edges:
             adj.setdefault(tail, []).append((head, w))
         object.__setattr__(self, "_adj", {k: tuple(v) for k, v in adj.items()})
+        object.__setattr__(self, "_routes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarNetwork is immutable")
@@ -90,6 +100,37 @@ class PlanarNetwork:
     @property
     def adjacency(self) -> dict:
         return self._adj
+
+    def _routes_to(self, sink: Vertex) -> tuple[dict, list]:
+        """(vertex index, routing table toward sink), built on first use.
+
+        Vertices are numbered by their position in self.vertices.  Entry k
+        of the table lists the positive-weight edges out of vertex k as
+        (head, numerator, denominator) triples in adjacency order, keeping
+        only heads from which a positive path reaches the sink; it is None
+        when no positive path leads from vertex k to the sink.  The index
+        is built once per network and each table once per sink; both are
+        kept.
+        """
+        if self._routes is None:
+            index = {v: k for k, v in enumerate(self.vertices)}
+            object.__setattr__(self, "_routes", (index, {}))
+        index, tables = self._routes
+        table = tables.get(sink)
+        if table is None:
+            table = [None] * len(index)
+            table[index[sink]] = ()
+            # Vertices are sorted by column, so heads come after their tails.
+            for k in range(index[sink] - 1, -1, -1):
+                edges = tuple(
+                    (index[h], w.numerator, w.denominator)
+                    for h, w in self._adj.get(self.vertices[k], ())
+                    if w > 0 and table[index[h]] is not None
+                )
+                if edges:
+                    table[k] = edges
+            tables[sink] = table
+        return index, table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanarNetwork):
@@ -253,61 +294,63 @@ def find_positive_collection(
     *,
     budget: int = 10**6,
 ) -> Optional[PathCollection]:
-    """First vertex-disjoint collection along positive-weight edges, or
-    None when none exists.  The budget caps visited search states.
+    """Vertex-disjoint collection along positive-weight edges, routed
+    greedily in boundary order, or None when routing fails.
+
+    Each pair gets the lowest path from its source to its sink that
+    avoids the earlier pairs' paths: a depth-first search trying heads
+    in (column, level) order among those with a positive path to the
+    sink, which marks a vertex dead for the pair once its subtree fails
+    (every edge increases the column, so the failure does not depend on
+    the path into it).  No pair is re-routed.  The weight is one product
+    of numerators over one of denominators.
+
+    When every edge joins adjacent columns, no two edges of one slot
+    cross and both boundaries are ordered by level (build_three_section
+    and build_grid), disjoint paths cannot cross and the pointwise-lowest
+    choice leaves the most room above it, so routing fails only when no
+    collection exists.  On other networks a returned collection is still
+    genuine; only a missing one is inconclusive.  The budget caps visited
+    search states.
     """
     pairs = _boundary_pairs(net, rows, cols)
     steps = 0
-    used: set[Vertex] = set()
+    used: set[int] = set()
     out_paths: list[tuple[Vertex, ...]] = []
-
-    def route(r: int) -> bool:
-        nonlocal steps
-        if r == len(pairs):
-            return True
-        src, dst = pairs[r]
-        if src in used or dst in used:
-            return False
-        limit_col = dst[0]
-        path: list[Vertex] = [src]
-
-        def walk(v: Vertex) -> bool:
-            nonlocal steps
+    num = den = 1
+    for src_vertex, dst_vertex in pairs:
+        index, routes = net._routes_to(dst_vertex)
+        src, dst = index[src_vertex], index[dst_vertex]
+        if src in used or dst in used or routes[src] is None:
+            return None
+        dead: set[int] = set()
+        path = [src]
+        hops: list[tuple[int, int]] = []
+        stack = [iter(routes[src])]
+        while path[-1] != dst:
             steps += 1
             if steps > budget:
                 raise EnumerationBudgetError(
                     f"positive-collection search exceeded budget {budget}"
                 )
-            if v == dst:
-                used.update(path)
-                out_paths.append(tuple(path))
-                if route(r + 1):
-                    return True
-                out_paths.pop()
-                used.difference_update(path)
-                return False
-            if v[0] >= limit_col:
-                return False
-            for head, w in net.adjacency.get(v, ()):
-                if w > 0 and head not in used:
+            for head, a, b in stack[-1]:
+                if head not in used and head not in dead:
                     path.append(head)
-                    if walk(head):
-                        return True
-                    path.pop()
-            return False
-
-        return walk(src)
-
-    if route(0):
-        weight = Fraction(1)
-        for p in out_paths:
-            for a, b in zip(p, p[1:]):
-                for head, w in net.adjacency[a]:
-                    if head == b:
-                        weight *= w
-                        break
-        return PathCollection(tuple(out_paths), weight)
-    return None
+                    hops.append((a, b))
+                    stack.append(iter(routes[head]))
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return None
+                dead.add(path.pop())
+                hops.pop()
+        used.update(path)
+        out_paths.append(tuple(net.vertices[k] for k in path))
+        for a, b in hops:
+            num *= a
+            den *= b
+    return PathCollection(tuple(out_paths), Fraction(num, den))
 
 
 def build_grid(grid_size: int, boundary_size: int) -> PlanarNetwork:

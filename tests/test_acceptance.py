@@ -182,7 +182,7 @@ def test_criterion_10_scan_beyond_verified_range():
 
 
 def test_criterion_11_positive_minors_with_witnesses():
-    for m in (2, 4, 6, 8, 10):
+    for m in (2, 4, 6, 8, 10, 12):
         rep = positive_minor_scan(m, with_witnesses=True)
         assert rep.ok
         assert rep.violations == ()
@@ -192,7 +192,7 @@ def test_criterion_11_positive_minors_with_witnesses():
     net = build_three_section(standard_weights(4))
     pc = find_positive_collection(net, (2, 3, 4), (2, 3, 4))
     assert pc is not None and pc.weight > 0
-    report(11, "every qualifying minor is positive with a path-collection witness, m<=10")
+    report(11, "every qualifying minor is positive with a path-collection witness, m<=12")
 
 
 def test_criterion_12_nonnegativity_and_perturbation():

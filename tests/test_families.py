@@ -18,7 +18,6 @@ from totalpos import (
     coefficient_matrix,
     determinant,
     family_polys,
-    find_positive_collection,
     general_position,
     matmul,
     minor,
@@ -31,12 +30,15 @@ from totalpos import (
 )
 from totalpos.families import PositiveMinorReport
 
+from test_networks import positive_collection_oracle
+
 
 def positive_minor_oracle(m, with_witnesses=False):
     """Independent oracle: one determinant per block-matrix minor whose
     columns contain {t+1, ..., m}, by (extra size, extra, rows), with
-    elapsed_ms 0.  It reads the block matrix through the families module,
-    so a patched block reaches it too."""
+    elapsed_ms 0, and witnesses from the backtracking search.  It reads
+    the block matrix through the families module, so a patched block
+    reaches it too."""
     t = m // 2
     block = totalpos.families.binomial_block_matrix(m)
     net = build_three_section(standard_weights(m)) if with_witnesses else None
@@ -54,7 +56,7 @@ def positive_minor_oracle(m, with_witnesses=False):
                 )
                 if value <= 0:
                     violations.append((rows, cols, value))
-                elif with_witnesses and find_positive_collection(net, rows, cols) is None:
+                elif with_witnesses and positive_collection_oracle(net, rows, cols) is None:
                     missing.append((rows, cols))
     return PositiveMinorReport(
         m=m,

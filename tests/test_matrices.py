@@ -508,3 +508,9 @@ class TestResolveThreads:
         monkeypatch.setenv("TOTALPOS_THREADS", "two")
         with pytest.raises(ValueError, match="TOTALPOS_THREADS"):
             resolve_threads()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_environment_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("TOTALPOS_THREADS", value)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            resolve_threads()

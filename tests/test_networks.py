@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from typing import Optional, Sequence
 
 import pytest
 
@@ -20,6 +23,107 @@ from totalpos import (
     lgv_oracle_minor,
     standard_weights,
     weight_matrix,
+)
+from totalpos.networks import PathCollection, Vertex, _boundary_pairs
+from totalpos.three_section import SectionWeights, weight_key_set
+
+
+def positive_collection_oracle(
+    net: PlanarNetwork,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    *,
+    budget: int = 10**6,
+) -> Optional[PathCollection]:
+    """Independent oracle: the first vertex-disjoint collection along
+    positive-weight edges by full backtracking (a later pair's failure
+    re-routes the earlier pairs), or None when none exists.  The budget
+    caps visited search states.
+    """
+    pairs = _boundary_pairs(net, rows, cols)
+    steps = 0
+    used: set[Vertex] = set()
+    out_paths: list[tuple[Vertex, ...]] = []
+
+    def route(r: int) -> bool:
+        nonlocal steps
+        if r == len(pairs):
+            return True
+        src, dst = pairs[r]
+        if src in used or dst in used:
+            return False
+        limit_col = dst[0]
+        path: list[Vertex] = [src]
+
+        def walk(v: Vertex) -> bool:
+            nonlocal steps
+            steps += 1
+            if steps > budget:
+                raise EnumerationBudgetError(
+                    f"positive-collection search exceeded budget {budget}"
+                )
+            if v == dst:
+                used.update(path)
+                out_paths.append(tuple(path))
+                if route(r + 1):
+                    return True
+                out_paths.pop()
+                used.difference_update(path)
+                return False
+            if v[0] >= limit_col:
+                return False
+            for head, w in net.adjacency.get(v, ()):
+                if w > 0 and head not in used:
+                    path.append(head)
+                    if walk(head):
+                        return True
+                    path.pop()
+            return False
+
+        return walk(src)
+
+    if route(0):
+        weight = Fraction(1)
+        for p in out_paths:
+            for a, b in zip(p, p[1:]):
+                for head, w in net.adjacency[a]:
+                    if head == b:
+                        weight *= w
+                        break
+        return PathCollection(tuple(out_paths), weight)
+    return None
+
+
+def zeroed_three_section(m, seed):
+    """Three-section network with seeded weights: about a third of the
+    diagonal weights 0, the rest and the middle column small positive
+    fractions."""
+    rng = random.Random(seed)
+
+    def positive():
+        return Fraction(rng.randint(1, 5), rng.randint(1, 5))
+
+    def draw():
+        return Fraction(0) if rng.random() < 1 / 3 else positive()
+
+    keys = sorted(weight_key_set(m))
+    left = {k: draw() for k in keys}
+    middle = tuple(positive() for _ in range(m))
+    right = {k: draw() for k in keys}
+    return build_three_section(SectionWeights(n=m, left=left, middle=middle, right=right))
+
+
+AGREEMENT_NETWORKS = (
+    [(f"standard-m{m}", lambda m=m: build_three_section(standard_weights(m))) for m in (2, 4, 6)]
+    + [
+        (f"zeroed-m{m}-seed{seed}", lambda m=m, seed=seed: zeroed_three_section(m, seed))
+        for m in (4, 6)
+        for seed in range(5)
+    ]
+    + [
+        (f"grid-{g}x{b}", lambda g=g, b=b: build_grid(g, b))
+        for g, b in ((3, 3), (4, 4), (5, 3))
+    ]
 )
 
 
@@ -204,6 +308,70 @@ class TestPositiveCollections:
             for u, v in zip(path, path[1:]):
                 prod *= dict(((e[0], e[1]), e[2]) for e in net.edges)[(u, v)]
         assert pc.weight == prod
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in AGREEMENT_NETWORKS], ids=[name for name, _ in AGREEMENT_NETWORKS]
+    )
+    def test_greedy_routing_matches_backtracking_oracle(self, build):
+        """Every square query: the same collection (paths and weight) as
+        the backtracking oracle, or None from both."""
+        net = build()
+        n = len(net.sources)
+        found = 0
+        for size in range(1, n + 1):
+            for rows in combinations(range(1, n + 1), size):
+                for cols in combinations(range(1, n + 1), size):
+                    got = find_positive_collection(net, rows, cols)
+                    want = positive_collection_oracle(net, rows, cols)
+                    if want is None:
+                        assert got is None, (rows, cols)
+                    else:
+                        assert got is not None, (rows, cols)
+                        assert got.to_json_dict() == want.to_json_dict(), (rows, cols)
+                        found += 1
+        assert found > 0
+
+    def test_budget_guard(self):
+        net = build_three_section(standard_weights(6))
+        with pytest.raises(EnumerationBudgetError):
+            find_positive_collection(net, (1, 2, 3), (1, 2, 3), budget=1)
+
+    def test_dead_vertices_are_per_pair(self):
+        """A vertex that fails one pair can serve a later one.  Pair 2 tries
+        (1, 0) first, but its only way on to sink 2 runs into pair 1's path,
+        so pair 2 goes through (1, 1); pair 3 then needs (1, 0).  The network
+        is not planar, so this is outside the exactness conditions, but
+        greedy routing still finds the collection the oracle finds."""
+        edges = [
+            ((0, 0), (1, 2), 1),
+            ((0, 1), (1, 0), 1),
+            ((0, 1), (1, 1), 1),
+            ((0, 1), (1, 2), 1),
+            ((0, 2), (1, 0), 2),
+            ((1, 0), (2, 1), 1),
+            ((1, 0), (2, 2), 1),
+            ((1, 1), (2, 0), 1),
+            ((1, 2), (2, 2), 1),
+            ((2, 0), (3, 1), 1),
+            ((2, 1), (3, 2), 3),
+            ((2, 2), (3, 0), 1),
+            ((2, 2), (3, 1), 1),
+        ]
+        net = PlanarNetwork(
+            vertices=[(c, l) for c in range(4) for l in range(3)],
+            edges=edges,
+            sources=[(0, 0), (0, 1), (0, 2)],
+            sinks=[(3, 0), (3, 1), (3, 2)],
+        )
+        pc = find_positive_collection(net, (1, 2, 3), (1, 2, 3))
+        assert pc is not None
+        assert pc.paths == (
+            ((0, 0), (1, 2), (2, 2), (3, 0)),
+            ((0, 1), (1, 1), (2, 0), (3, 1)),
+            ((0, 2), (1, 0), (2, 1), (3, 2)),
+        )
+        assert pc.weight == 6
+        assert pc == positive_collection_oracle(net, (1, 2, 3), (1, 2, 3))
 
     def test_json_round_trip_of_collection(self):
         net = build_three_section(standard_weights(2))
