@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retry-limit", type=int, default=512)
-    add_common(p)
+    add_common(p, threads=False)
 
     p = sub.add_parser("bench", help="time general-position scans")
     p.add_argument("--m-list", type=_m_list, required=True, metavar="M1,M2,...")
@@ -305,24 +305,8 @@ def _cmd_extend(args) -> tuple[str, bool]:
         bound=args.bound,
         seed=args.seed,
         retry_limit=args.retry_limit,
-        threads=args.threads,
     )
-    total = math.comb(m * (m + 1) // 2, m)
-    if total <= 10**7:
-        mode = "exhaustive"
-        report = verify_extended_general_position(
-            m, result.constants, threads=args.threads
-        )
-    else:
-        mode = "sampled"
-        report = verify_extended_general_position(
-            m,
-            result.constants,
-            "sampled",
-            seed=args.seed,
-            sample_count=10**5,
-            threads=args.threads,
-        )
+    report = verify_extended_general_position(m, result.constants)
     data = hyperplane_coefficients(m, result.constants)
     disc = data.h[0].disc
     square_sum = ExtPolynomial.zero(disc)
@@ -351,7 +335,7 @@ def _cmd_extend(args) -> tuple[str, bool]:
     cert = _certificate(
         "extend",
         m,
-        mode,
+        report.mode,
         args.seed,
         checks,
         bound=args.bound,

@@ -27,9 +27,12 @@ complement of the basis positions I occupies.  So the maximal minors of
 M are, up to the factor |det B| and the row scales, exactly the minors
 of C, the all-basis subset being the empty minor.  When the reduction
 finds fewer pivots than columns, every maximal minor is 0 and no
-determinant is taken.  Sampled and fail-fast scans take one
-determinant of C per subset; sampled ones may spread over worker
-processes.  The per-subset determinant of M[I] is the test oracle.
+determinant is taken.  Whether any maximal minor is 0 is the same walk
+over C, descending no further after its first zero minor
+(_has_zero_maximal_minor).
+Sampled scans take one determinant of C per subset and may spread over
+worker processes.  The per-subset determinant of M[I] is the test
+oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ScanBudgetError
@@ -438,9 +441,8 @@ def _walk_scan(ctx: _BasisContext):
     rows at the positions outside J and the non-basis rows K; the empty
     minor, 1, is the all-basis subset.  A wide C is walked as its
     transpose, so a node is then a column set J and its minors run over
-    the row sets K.  Returns the same (failures, best (|det|, scale),
-    examined) triple as _scan_chunk, with the failures in lexicographic
-    order.
+    the row sets K.  Returns the same (failures, best (|det|, scale))
+    pair as _scan_chunk, with the failures in lexicographic order.
     """
     transposed = ctx.n_cols > len(ctx.coord)
     zeros: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (K, J)
@@ -475,35 +477,50 @@ def _walk_scan(ctx: _BasisContext):
         rows = [basis_rows[p] for p in outside] + [coord_to_row[k] for k in kk]
         failures.append(tuple(sorted(i + 1 for i in rows)))
     failures.sort()
-    return failures, best, count
+    return failures, best
+
+
+def _has_zero_maximal_minor(matrix: ExactMatrix) -> bool:
+    """Whether some maximal minor of a matrix with rows >= cols is 0: one
+    Laplace walk over the coordinate matrix C that descends no further
+    once it has met a zero minor."""
+    ctx, _ = _build_context(matrix)
+    if ctx is None:
+        return True
+    found = False
+
+    def visit(node, subsets, minors, scale) -> bool:
+        nonlocal found
+        found = found or 0 in minors
+        return not found
+
+    _laplace_walk(ctx.coord, visit)
+    return found
 
 
 def _scan_chunk(payload):
-    """(failures, best (|det|, scale), examined) over one run of subsets,
-    one determinant each: every subset in lexicographic order when ranks
-    is None, else the subsets of the given ranks."""
-    ctx, ranks, stop_on_failure = payload
+    """(failures, best (|det|, scale)) over the subsets of the given
+    lexicographic ranks, one determinant each."""
+    ctx, ranks = payload
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None  # (|det| numerator part, scale part)
-    examined = 0
     for comb in _subsets(ctx.n_rows, ctx.n_cols, ranks):
         d, scale = ctx.det_parts(comb)
-        examined += 1
         if d == 0:
             failures.append(tuple(i + 1 for i in comb))
-            if stop_on_failure:
-                break
         else:
             ad = -d if d < 0 else d
             if best is None or ad * best[1] < best[0] * scale:
                 best = (ad, scale)
-    return failures, best, examined
+    return failures, best
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
     """--threads flag wins, then TOTALPOS_THREADS, then the CPU count."""
     if threads is not None:
-        return max(1, threads)
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer: {threads!r}")
+        return threads
     env = os.environ.get("TOTALPOS_THREADS")
     if env:
         try:
@@ -571,16 +588,15 @@ def _build_context(matrix: ExactMatrix):
     return ctx, abs_det_b
 
 
-def _per_subset_scan(ctx, ranks, checked, threads, fail_fast):
-    """One determinant per row subset, in lexicographic (or rank) order;
-    sampled scans without fail_fast are spread over worker processes."""
-    if ranks is None:
-        return [_scan_chunk((ctx, None, fail_fast))]
-    n_threads = 1 if fail_fast else resolve_threads(threads)
+def _per_subset_scan(ctx, ranks, threads):
+    """One determinant per sampled row subset, in rank order, spread over
+    worker processes."""
+    checked = len(ranks)
+    n_threads = resolve_threads(threads)
     n_chunks = min(max(1, n_threads * 4), checked) if n_threads > 1 else 1
     bounds = [checked * i // n_chunks for i in range(n_chunks + 1)]
     payloads = [
-        (ctx, tuple(ranks[bounds[i]: bounds[i + 1]]), fail_fast)
+        (ctx, tuple(ranks[bounds[i]: bounds[i + 1]]))
         for i in range(n_chunks)
         if bounds[i + 1] > bounds[i]
     ]
@@ -598,7 +614,6 @@ def maximal_minor_scan(
     sample_count: Optional[int] = None,
     threads: Optional[int] = None,
     exhaustive_limit: int = 10**7,
-    fail_fast: bool = False,
 ) -> GeneralPositionReport:
     """Scan row subsets of size cols; record every zero-determinant subset.
 
@@ -611,12 +626,9 @@ def maximal_minor_scan(
     rank order, spread over `threads` worker processes.  The report is
     identical for any thread count.
 
-    With fail_fast the scan runs sequentially through the subsets in
-    lexicographic (or rank) order and stops at the first zero
-    determinant; checked_subsets then counts only the subsets actually
-    examined.  Below full column rank every maximal minor is 0, so the
-    subsets (all, the sampled ones, or the first with fail_fast) are
-    listed as failures without taking a determinant.
+    Below full column rank every maximal minor is 0, so the subsets (all,
+    or the sampled ones) are listed as failures without taking a
+    determinant.
     """
     t0 = time.perf_counter()
     r, c = matrix.rows, matrix.cols
@@ -652,25 +664,20 @@ def maximal_minor_scan(
     ctx, abs_det_b = _build_context(matrix)
 
     if ctx is None:
-        listed = islice(_subsets(r, c, ranks), 1 if fail_fast else None)
-        zeros = [tuple(i + 1 for i in comb) for comb in listed]
-        parts = [(zeros, None, len(zeros))]
-    elif ranks is None and not fail_fast:
+        zeros = [tuple(i + 1 for i in comb) for comb in _subsets(r, c, ranks)]
+        parts = [(zeros, None)]
+    elif ranks is None:
         parts = [_walk_scan(ctx)]
     else:
-        parts = _per_subset_scan(ctx, ranks, checked, threads, fail_fast)
+        parts = _per_subset_scan(ctx, ranks, threads)
 
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None
-    examined_total = 0
-    for part_failures, part_best, part_examined in parts:
+    for part_failures, part_best in parts:
         failures.extend(part_failures)
-        examined_total += part_examined
         if part_best is not None:
             if best is None or part_best[0] * best[1] < best[0] * part_best[1]:
                 best = part_best
-    if fail_fast:
-        checked = examined_total
     min_abs = Fraction(best[0], best[1]) * abs_det_b if best is not None else None
 
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))

@@ -24,9 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import SearchExhaustedError
+from .errors import ScanBudgetError, SearchExhaustedError
 from .families import coefficient_matrix, family_polys
-from .matrices import ExactMatrix, GeneralPositionReport, determinant, maximal_minor_scan
+from .matrices import (
+    ExactMatrix,
+    GeneralPositionReport,
+    _has_zero_maximal_minor,
+    determinant,
+    maximal_minor_scan,
+)
 from .poly import Polynomial
 from .scalars import Rational, format_rational
 
@@ -409,18 +415,19 @@ def search_constants(
     *,
     retry_limit: int = 512,
     candidates: Optional[Sequence[tuple[Rational, Rational]]] = None,
-    threads: Optional[int] = None,
     exhaustive_limit: int = 10**7,
-    sample_count: int = 10**5,
 ) -> SearchResult:
     """Find constant pairs keeping the extended family in general position.
 
-    Pairs are fixed one stage at a time (pair j before pair j+1), each
-    stage scanning all m-subsets of the family built so far; scans fall
-    back to seeded sampling when the subset count exceeds the exhaustive
-    limit.  Candidates come from `candidates` first (useful to force or
-    to test specific pairs), then ordered small integers, then seeded
-    random rationals, so the result is reproducible from (bound, seed).
+    Pairs are fixed one stage at a time (pair j before pair j+1).  A
+    candidate is accepted when no m-subset of the family built so far has
+    determinant 0, decided by one Laplace walk that descends no further
+    after the first zero minor; every decision is exhaustive.  The last stage scans all
+    C(m(m+1)/2, m) subsets, so ScanBudgetError is raised before any
+    candidate is tried when that count exceeds exhaustive_limit.
+    Candidates come from `candidates` first (useful to force or to test
+    specific pairs), then ordered small integers, then seeded random
+    rationals, so the result is reproducible from (bound, seed).
     Exhausting the retry limit raises SearchExhaustedError carrying the
     partial result.
     """
@@ -428,6 +435,12 @@ def search_constants(
         raise ValueError("m must be an even integer >= 4")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    total = math.comb(m * (m + 1) // 2, m)
+    if total > exhaustive_limit:
+        raise ScanBudgetError(
+            f"constant search needs an exhaustive scan of {total} subsets, "
+            f"over the budget {exhaustive_limit}"
+        )
     t = m // 2
     fixed: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
     attempts = 0
@@ -466,14 +479,9 @@ def search_constants(
             if a == b or a in used or b in used:
                 rejected.append((j, (a, b), "duplicate-constant"))
                 continue
-            trial = FamilyConstants(tuple(fixed) + ((a, b),))
-            # Scan the family truncated to the pairs fixed so far.
-            report = _scan_partial(
-                m, trial, threads=threads,
-                exhaustive_limit=exhaustive_limit,
-                seed=seed, sample_count=sample_count,
-            )
-            if report.ok:
+            # The family truncated to the pairs fixed so far.
+            matrix = coefficient_matrix(_family_with_pairs(m, fixed[1:] + [(a, b)]), m)
+            if not _has_zero_maximal_minor(matrix):
                 found = (a, b)
                 break
             rejected.append((j, (a, b), "singular-subset"))
@@ -491,29 +499,6 @@ def search_constants(
         constants=FamilyConstants(tuple(fixed)),
         attempts=attempts,
         rejected=tuple(rejected),
-    )
-
-
-def _scan_partial(
-    m: int,
-    trial: FamilyConstants,
-    *,
-    threads: Optional[int],
-    exhaustive_limit: int,
-    seed: int,
-    sample_count: int,
-) -> GeneralPositionReport:
-    matrix = coefficient_matrix(_family_with_pairs(m, trial.pairs[1:]), m)
-    total = math.comb(matrix.rows, m)
-    if total <= exhaustive_limit:
-        return maximal_minor_scan(matrix, "exhaustive", threads=threads, fail_fast=True)
-    return maximal_minor_scan(
-        matrix,
-        "sampled",
-        seed=seed,
-        sample_count=min(sample_count, total),
-        threads=threads,
-        fail_fast=True,
     )
 
 

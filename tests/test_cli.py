@@ -149,6 +149,11 @@ class TestExtend:
         assert code == 2
         assert "error" in payload
 
+    def test_m8_is_over_the_exhaustive_budget(self, capsys):
+        code, payload = run_json(capsys, ["extend", "--m", "8"])
+        assert code == 2
+        assert "30260340 subsets" in payload["error"]
+
 
 class TestBench:
     def test_timings_per_family(self, capsys):
@@ -162,7 +167,7 @@ class TestBench:
 
 class TestThreadsFlag:
     @pytest.mark.parametrize(
-        "command", [["verify", "--m", "4"], ["extend", "--m", "4"], ["bench", "--m-list", "2"]]
+        "command", [["verify", "--m", "4"], ["bench", "--m-list", "2"]]
     )
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_below_one_is_a_usage_error(self, capsys, command, threads):

@@ -35,7 +35,7 @@ from totalpos import (
     resolve_threads,
 )
 import totalpos
-from totalpos.matrices import _bareiss_det
+from totalpos.matrices import _bareiss_det, _has_zero_maximal_minor
 
 
 def cofactor_determinant(rows):
@@ -85,15 +85,10 @@ def direct_minors(matrix):
     return out
 
 
-def oracle_report(minors, ranks=None, fail_fast=False):
+def oracle_report(minors, ranks=None):
     """(failures, min |det| over nonzero ones, checked) over the subsets of
-    the given lex ranks (all when None), stopping at the first zero when
-    fail_fast."""
+    the given lex ranks (all when None)."""
     picked = minors if ranks is None else [minors[k] for k in ranks]
-    if fail_fast:
-        zero = next((n for n, (_, d) in enumerate(picked) if d == 0), None)
-        if zero is not None:
-            picked = picked[: zero + 1]
     failures = tuple(tuple(i + 1 for i in rows_idx) for rows_idx, d in picked if d == 0)
     return failures, min((abs(d) for _, d in picked if d), default=None), len(picked)
 
@@ -358,13 +353,6 @@ class TestMaximalMinorScan:
         assert rep.failures[0] == (1, 2)
         assert rep.checked_subsets == 6
 
-    def test_fail_fast_stops_at_first_zero(self):
-        M = ExactMatrix.from_rows([[1, 1], [2, 2], [0, 1], [1, 0]])
-        rep = maximal_minor_scan(M, fail_fast=True)
-        assert not rep.ok
-        assert rep.failures == ((1, 2),)
-        assert rep.checked_subsets == 1
-
     @pytest.mark.parametrize(
         "build, expected_failures",
         [
@@ -379,8 +367,9 @@ class TestMaximalMinorScan:
         ],
     )
     def test_direct_and_reduced_engines_agree(self, build, expected_failures):
-        """Exhaustive, fail-fast and sampled scans against one determinant
-        of M[I] per row subset: failures, min |det| and checked count."""
+        """Exhaustive and sampled scans against one determinant of M[I] per
+        row subset (failures, min |det| and checked count), and the
+        early-exit predicate against any zero among them."""
         failures = 0
         rng = random.Random(20261018)
         for M in build():
@@ -392,13 +381,12 @@ class TestMaximalMinorScan:
             sampled = {"mode": "sampled", "seed": seed, "sample_count": count, "threads": 1}
             for kwargs, expected in (
                 ({}, oracle_report(minors)),
-                ({"fail_fast": True}, oracle_report(minors, fail_fast=True)),
                 (sampled, oracle_report(minors, ranks)),
-                ({**sampled, "fail_fast": True}, oracle_report(minors, ranks, fail_fast=True)),
             ):
                 rep = maximal_minor_scan(M, **kwargs)
                 assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == expected
                 assert rep.total_subsets == total
+            assert _has_zero_maximal_minor(M) == any(d == 0 for _, d in minors)
             failures += len(oracle_report(minors)[0])
         if expected_failures is None:
             assert failures > 100
@@ -508,6 +496,12 @@ class TestResolveThreads:
         monkeypatch.setenv("TOTALPOS_THREADS", "two")
         with pytest.raises(ValueError, match="TOTALPOS_THREADS"):
             resolve_threads()
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_argument_is_rejected(self, monkeypatch, value):
+        monkeypatch.delenv("TOTALPOS_THREADS", raising=False)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            resolve_threads(value)
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_environment_is_rejected(self, monkeypatch, value):

@@ -13,8 +13,11 @@ from totalpos import (
     ExtScalar,
     FamilyConstants,
     Polynomial,
+    ScanBudgetError,
     SearchExhaustedError,
+    coefficient_matrix,
     constants_from_extras,
+    determinant,
     ext_i,
     ext_rational,
     ext_sigma,
@@ -25,6 +28,8 @@ from totalpos import (
     weierstrass_h,
     wronskian,
 )
+from totalpos.matrices import _has_zero_maximal_minor
+from totalpos.surface import _family_with_pairs
 
 
 quads = st.tuples(*[st.fractions(max_denominator=6)] * 4)
@@ -227,6 +232,23 @@ class TestSearchConstants:
             search_constants(4, retry_limit=2)
         assert info.value.partial.attempts == 2
         assert len(info.value.partial.rejected) == 2
+
+    def test_sampled_stage_counterexample_is_singular(self):
+        # A search that sampled its stages once accepted these m=8 pairs.
+        pairs = [(Fraction(13, 4), Fraction(-2, 9)), (8, 9), (Fraction(3, 7), Fraction(-5, 11))]
+        matrix = coefficient_matrix(extended_family(8, constants_from_extras(pairs)), 8)
+        rows = (1, 2, 3, 4, 5, 6, 9, 29)
+        assert determinant(matrix.submatrix([i - 1 for i in rows], range(8))) == 0
+        # The pair (3/7, -5/11) already fails at stage 2, on 20 rows.
+        stage2 = coefficient_matrix(_family_with_pairs(8, [(Fraction(3, 7), Fraction(-5, 11))]), 8)
+        assert stage2.rows == 20
+        assert _has_zero_maximal_minor(stage2)
+
+    def test_search_beyond_the_exhaustive_budget_is_refused(self):
+        with pytest.raises(ScanBudgetError, match="30260340"):
+            search_constants(8)
+        with pytest.raises(ScanBudgetError):
+            search_constants(4, exhaustive_limit=209)
 
 
 class TestWronskian:
