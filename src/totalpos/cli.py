@@ -67,16 +67,6 @@ def _even_m(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _m_list(text: str) -> list[int]:
     out = []
     for piece in text.split(","):
@@ -97,35 +87,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"totalpos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, threads=True):
+    def add_common(p):
         p.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=_positive_int,
-                default=None,
-                help="worker processes for sampled scans (default: TOTALPOS_THREADS or CPU count)",
-            )
 
     p = sub.add_parser("verify", help="full certificate: factorization, block "
                        "determinants, network identity, general position")
     p.add_argument("--m", type=_even_m, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None, help="required in sampled mode")
-    p.add_argument("--sample-count", type=int, default=None, help="sampled subsets (default 100000)")
+    p.add_argument("--sample-count", type=int, default=None,
+                   help="sampled subsets (default: 100000, or all when fewer)")
     p.add_argument("--budget", type=int, default=10**7, help="exhaustive subset budget")
     add_common(p)
 
     p = sub.add_parser("network", help="export the standard network")
     p.add_argument("--m", type=_even_m, required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    add_common(p, threads=False)
+    add_common(p)
 
     p = sub.add_parser("lemmas", help="path-sum closed forms, sublattice weight "
                        "sums, and the hypergeometric identity grid")
     p.add_argument("--m", type=_even_m, required=True)
     p.add_argument("--budget", type=int, default=10**6, help="path enumeration budget")
-    add_common(p, threads=False)
+    add_common(p)
 
     p = sub.add_parser("lgv-check", help="random minors versus disjoint-path "
                        "collection sums")
@@ -134,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-size", type=int, default=3, help="largest minor size drawn")
     p.add_argument("--budget", type=int, default=10**7, help="oracle enumeration budget")
-    add_common(p, threads=False)
+    add_common(p)
 
     p = sub.add_parser("extend", help="search extension constants, scan the "
                        "extended family, emit the null-sum basis data")
@@ -142,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retry-limit", type=int, default=512)
-    add_common(p, threads=False)
+    add_common(p)
 
     p = sub.add_parser("bench", help="time general-position scans")
     p.add_argument("--m-list", type=_m_list, required=True, metavar="M1,M2,...")
@@ -177,7 +161,9 @@ def _cmd_verify(args) -> tuple[str, bool]:
         if args.seed is None:
             raise ValueError("sampled mode requires --seed")
         seed = args.seed
-        sample_count = args.sample_count if args.sample_count is not None else 10**5
+        sample_count = args.sample_count
+        if sample_count is None:
+            sample_count = min(10**5, math.comb(3 * (m // 2), m))
     else:
         if args.seed is not None or args.sample_count is not None:
             raise ValueError("--seed/--sample-count only apply to sampled mode")
@@ -192,7 +178,6 @@ def _cmd_verify(args) -> tuple[str, bool]:
         mode=args.mode,
         seed=seed,
         sample_count=sample_count,
-        threads=args.threads,
         exhaustive_limit=args.budget,
     )
     checks = [
@@ -205,7 +190,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
         {"name": "network_matrix_identity", "pass": net_ok},
         {"name": "general_position", "pass": report.ok, "report": report.to_json_dict()},
     ]
-    cert = _certificate("verify", m, args.mode, seed, checks, threads=args.threads)
+    cert = _certificate("verify", m, args.mode, seed, checks)
     return json.dumps(cert, indent=2) + "\n", cert["pass"]
 
 
@@ -350,14 +335,13 @@ def _cmd_bench(args) -> tuple[str, bool]:
         total = math.comb(3 * (m // 2), m)
         t0 = time.perf_counter()
         if total <= args.budget:
-            report = general_position(m, threads=args.threads, exhaustive_limit=args.budget)
+            report = general_position(m, exhaustive_limit=args.budget)
         else:
             report = general_position(
                 m,
                 mode="sampled",
                 seed=args.seed,
                 sample_count=min(args.sample_count, total),
-                threads=args.threads,
             )
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
         results.append(
@@ -379,7 +363,6 @@ def _cmd_bench(args) -> tuple[str, bool]:
         args.seed,
         results,
         m_list=list(args.m_list),
-        threads=args.threads,
     )
     return json.dumps(cert, indent=2) + "\n", cert["pass"]
 

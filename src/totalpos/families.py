@@ -147,7 +147,6 @@ def general_position(
     *,
     seed: Optional[int] = None,
     sample_count: Optional[int] = None,
-    threads: Optional[int] = None,
     exhaustive_limit: int = 10**7,
 ) -> GeneralPositionReport:
     """Scan all (or sampled) m-subsets of the family for linear dependence.
@@ -161,7 +160,6 @@ def general_position(
         mode,
         seed=seed,
         sample_count=sample_count,
-        threads=threads,
         exhaustive_limit=exhaustive_limit,
     )
 

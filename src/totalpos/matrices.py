@@ -10,11 +10,12 @@ rows, and a child gets its minors by Laplace expansion along its new
 last row from its parent's, with no division, so zero minors cost
 nothing extra: at most sum_k k*C(r,k)*C(c,k) integer multiply-adds for
 an r x c matrix.  A wide matrix is walked as its transpose so that the
-expansion tables span the shorter side.  It has three consumers: the
+expansion tables span the shorter side.  It has four consumers: the
 TNN/TP verdicts here, which keep the least violation and prune below
 it; exhaustive maximal-minor scans, which walk the coordinate matrix C
-below; and the positive-minor scan of the families module, which walks
-the block's columns tail first and keeps the minors whose columns
+below; the zero-minor test of a constant-search candidate, which walks
+the same C; and the positive-minor scan of the families module, which
+walks the block's columns tail first and keeps the minors whose columns
 contain the tail block.
 
 The scan engine reduces each maximal minor to a small complementary
@@ -30,8 +31,8 @@ finds fewer pivots than columns, every maximal minor is 0 and no
 determinant is taken.  Whether any maximal minor is 0 is the same walk
 over C, descending no further after its first zero minor
 (_has_zero_maximal_minor).
-Sampled scans take one determinant of C per subset and may spread over
-worker processes.  The per-subset determinant of M[I] is the test
+Sampled scans take one determinant of C per subset; from 4096 subsets
+up they spread over one worker process per CPU.  The per-subset determinant of M[I] is the test
 oracle.
 """
 
@@ -515,24 +516,6 @@ def _scan_chunk(payload):
     return failures, best
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """--threads flag wins, then TOTALPOS_THREADS, then the CPU count."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be a positive integer: {threads!r}")
-        return threads
-    env = os.environ.get("TOTALPOS_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"TOTALPOS_THREADS is not an integer: {env!r}")
-        if value < 1:
-            raise ValueError(f"TOTALPOS_THREADS must be a positive integer: {env!r}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _build_context(matrix: ExactMatrix):
     """One Gauss-Jordan reduction of M^T over Q.
 
@@ -588,20 +571,20 @@ def _build_context(matrix: ExactMatrix):
     return ctx, abs_det_b
 
 
-def _per_subset_scan(ctx, ranks, threads):
-    """One determinant per sampled row subset, in rank order, spread over
-    worker processes."""
+def _per_subset_scan(ctx, ranks):
+    """One determinant per sampled row subset, in rank order; from 4096
+    subsets up, spread over one worker process per CPU."""
     checked = len(ranks)
-    n_threads = resolve_threads(threads)
-    n_chunks = min(max(1, n_threads * 4), checked) if n_threads > 1 else 1
+    n_workers = os.cpu_count() or 1
+    n_chunks = min(n_workers * 4, checked) if n_workers > 1 else 1
     bounds = [checked * i // n_chunks for i in range(n_chunks + 1)]
     payloads = [
         (ctx, tuple(ranks[bounds[i]: bounds[i + 1]]))
         for i in range(n_chunks)
         if bounds[i + 1] > bounds[i]
     ]
-    if n_threads > 1 and len(payloads) > 1 and checked >= 4096:
-        with multiprocessing.Pool(n_threads) as pool:
+    if n_workers > 1 and len(payloads) > 1 and checked >= 4096:
+        with multiprocessing.Pool(n_workers) as pool:
             return pool.map(_scan_chunk, payloads)
     return [_scan_chunk(p) for p in payloads]
 
@@ -612,7 +595,6 @@ def maximal_minor_scan(
     *,
     seed: Optional[int] = None,
     sample_count: Optional[int] = None,
-    threads: Optional[int] = None,
     exhaustive_limit: int = 10**7,
 ) -> GeneralPositionReport:
     """Scan row subsets of size cols; record every zero-determinant subset.
@@ -623,8 +605,8 @@ def maximal_minor_scan(
     lexicographic order; a square matrix has an empty C, and its one
     subset's |det| is |det B|.  Sampled mode draws sample_count distinct
     subsets with the given seed and takes one determinant per subset in
-    rank order, spread over `threads` worker processes.  The report is
-    identical for any thread count.
+    rank order, spread over one worker process per CPU from 4096 subsets
+    up.  The report is identical for any worker count.
 
     Below full column rank every maximal minor is 0, so the subsets (all,
     or the sampled ones) are listed as failures without taking a
@@ -669,7 +651,7 @@ def maximal_minor_scan(
     elif ranks is None:
         parts = [_walk_scan(ctx)]
     else:
-        parts = _per_subset_scan(ctx, ranks, threads)
+        parts = _per_subset_scan(ctx, ranks)
 
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None

@@ -363,25 +363,10 @@ def extended_family(m: int, constants: FamilyConstants) -> list[Polynomial]:
 
 
 def verify_extended_general_position(
-    m: int,
-    constants: FamilyConstants,
-    mode: str = "exhaustive",
-    *,
-    seed: Optional[int] = None,
-    sample_count: Optional[int] = None,
-    threads: Optional[int] = None,
-    exhaustive_limit: int = 10**7,
+    m: int, constants: FamilyConstants
 ) -> GeneralPositionReport:
     """Scan every m-subset of the extended family's coefficient matrix."""
-    matrix = coefficient_matrix(extended_family(m, constants), m)
-    return maximal_minor_scan(
-        matrix,
-        mode,
-        seed=seed,
-        sample_count=sample_count,
-        threads=threads,
-        exhaustive_limit=exhaustive_limit,
-    )
+    return maximal_minor_scan(coefficient_matrix(extended_family(m, constants), m))
 
 
 @dataclass(frozen=True)
@@ -422,9 +407,10 @@ def search_constants(
     Pairs are fixed one stage at a time (pair j before pair j+1).  A
     candidate is accepted when no m-subset of the family built so far has
     determinant 0, decided by one Laplace walk that descends no further
-    after the first zero minor; every decision is exhaustive.  The last stage scans all
-    C(m(m+1)/2, m) subsets, so ScanBudgetError is raised before any
-    candidate is tried when that count exceeds exhaustive_limit.
+    after the first zero minor; every decision is exhaustive.  The last
+    stage scans all C(m(m+1)/2, m) subsets, so ScanBudgetError is raised
+    before any candidate is tried when that count exceeds
+    exhaustive_limit.
     Candidates come from `candidates` first (useful to force or to test
     specific pairs), then ordered small integers, then seeded random
     rationals, so the result is reproducible from (bound, seed).

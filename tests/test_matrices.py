@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -26,13 +27,14 @@ from totalpos import (
     diagonal,
     extended_family,
     family_polys,
+    general_position,
     identity,
     is_totally_nonnegative,
     is_totally_positive,
     matmul,
     maximal_minor_scan,
     minor,
-    resolve_threads,
+    verify_extended_general_position,
 )
 import totalpos
 from totalpos.matrices import _bareiss_det, _has_zero_maximal_minor
@@ -338,6 +340,21 @@ class TestPositivityVerdicts:
         assert tall == (False, MinorWitness(MinorQuery((39, 40), (1, 2)), Fraction(-1, 2)))
 
 
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Wrap multiprocessing.Pool; the list records the worker count of
+    each pool started."""
+    real_pool = multiprocessing.Pool
+    started = []
+
+    def spy_pool(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
+    return started
+
+
 class TestMaximalMinorScan:
     def test_small_exhaustive_scan(self):
         rep = maximal_minor_scan(ExactMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
@@ -378,7 +395,7 @@ class TestMaximalMinorScan:
             count = rng.randint(1, min(total, 4000))
             seed = rng.randrange(10**6)
             ranks = sorted(random.Random(seed).sample(range(total), count))
-            sampled = {"mode": "sampled", "seed": seed, "sample_count": count, "threads": 1}
+            sampled = {"mode": "sampled", "seed": seed, "sample_count": count}
             for kwargs, expected in (
                 ({}, oracle_report(minors)),
                 (sampled, oracle_report(minors, ranks)),
@@ -393,21 +410,45 @@ class TestMaximalMinorScan:
         else:
             assert failures == expected_failures
 
-    def test_thread_count_does_not_change_results(self):
-        # Only sampled scans of at least 4096 subsets go to worker
-        # processes; planted failures check that the chunks merge in order.
+    @pytest.mark.parametrize(
+        "cpus, count, pools",
+        [(None, 5000, []), (1, 5000, []), (2, 4095, []), (2, 4096, [2]), (2, 5000, [2])],
+    )
+    def test_pool_is_sized_by_cpu_count(self, monkeypatch, pool_spy, cpus, count, pools):
+        """Only sampled scans of at least 4096 subsets on more than one CPU
+        start a pool, of one worker per CPU; planted failures check that
+        its chunks merge in rank order."""
+        started = pool_spy
         (M,) = planted_m6([(-1, 2), (3, -2)])
-        one = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=1)
-        two = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=2)
-        assert one.failures
-        assert one.failures == two.failures
-        assert one.min_abs_nonzero_det == two.min_abs_nonzero_det
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        here = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=count)
+        assert started == []
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=count)
+        assert started == pools
+        assert here.failures
+        assert rep.failures == here.failures
+        assert rep.min_abs_nonzero_det == here.min_abs_nonzero_det
 
-    def test_worker_pool_runs_without_fork(self):
-        """A child interpreter with the spawn start method and os.fork
-        disabled runs the pooled sampled scan and matches this process."""
+    def test_threads_environment_variable_is_ignored(self, monkeypatch, pool_spy):
+        """TOTALPOS_THREADS no longer sizes the pool: an invalid value is
+        not read, and a count of 1 does not keep two CPUs from pooling."""
         (M,) = planted_m6([(-1, 2), (3, -2)])
-        here = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000, threads=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("TOTALPOS_THREADS", "two")
+        small = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=100)
+        assert small.checked_subsets == 100
+        monkeypatch.setenv("TOTALPOS_THREADS", "1")
+        maximal_minor_scan(M, mode="sampled", seed=3, sample_count=4096)
+        assert pool_spy == [2]
+
+    def test_worker_pool_runs_without_fork(self, monkeypatch):
+        """A child interpreter with two CPUs, the spawn start method and
+        os.fork disabled runs the pooled sampled scan and matches this
+        process."""
+        (M,) = planted_m6([(-1, 2), (3, -2)])
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        here = maximal_minor_scan(M, mode="sampled", seed=3, sample_count=5000)
         code = textwrap.dedent("""
             import json, multiprocessing, os
 
@@ -415,6 +456,7 @@ class TestMaximalMinorScan:
                 raise OSError("fork is disabled in this interpreter")
 
             os.fork = no_fork
+            os.cpu_count = lambda: 2
             multiprocessing.set_start_method("spawn")
             from totalpos import (
                 coefficient_matrix, constants_from_extras, extended_family,
@@ -423,7 +465,7 @@ class TestMaximalMinorScan:
             family = extended_family(6, constants_from_extras([(-1, 2), (3, -2)]))
             rep = maximal_minor_scan(
                 coefficient_matrix(family, 6), mode="sampled", seed=3,
-                sample_count=5000, threads=2,
+                sample_count=5000,
             )
             print(json.dumps(rep.to_json_dict()))
         """)
@@ -474,37 +516,22 @@ class TestMaximalMinorScan:
         assert isinstance(d["elapsed_ms"], int)
 
 
-class TestResolveThreads:
-    def test_flag_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("TOTALPOS_THREADS", "3")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert resolve_threads(2) == 2
+class TestWorkerCountIsNotConfigurable:
+    def test_resolve_threads_is_gone(self):
+        assert not hasattr(totalpos, "resolve_threads")
+        assert "resolve_threads" not in totalpos.__all__
 
-    def test_environment_wins_over_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("TOTALPOS_THREADS", "3")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert resolve_threads() == 3
-
-    def test_cpu_count_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("TOTALPOS_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert resolve_threads() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert resolve_threads() == 1
-
-    def test_non_integer_environment_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("TOTALPOS_THREADS", "two")
-        with pytest.raises(ValueError, match="TOTALPOS_THREADS"):
-            resolve_threads()
-
-    @pytest.mark.parametrize("value", [0, -2])
-    def test_non_positive_argument_is_rejected(self, monkeypatch, value):
-        monkeypatch.delenv("TOTALPOS_THREADS", raising=False)
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            resolve_threads(value)
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_environment_is_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("TOTALPOS_THREADS", value)
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            resolve_threads()
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda: maximal_minor_scan(identity(2), threads=2),
+            lambda: general_position(2, threads=2),
+            lambda: verify_extended_general_position(
+                4, constants_from_extras([(-3, -4)]), threads=2
+            ),
+        ],
+        ids=["maximal_minor_scan", "general_position", "verify_extended_general_position"],
+    )
+    def test_threads_argument_is_rejected(self, scan):
+        with pytest.raises(TypeError, match="threads"):
+            scan()

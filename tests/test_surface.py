@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -193,6 +194,11 @@ class TestExtendedFamily:
         c = constants_from_extras([(2, 3)])
         rep = verify_extended_general_position(4, c)
         assert not rep.ok
+
+
+    def test_takes_only_m_and_constants(self):
+        params = list(inspect.signature(verify_extended_general_position).parameters)
+        assert params == ["m", "constants"]
 
 
 class TestSearchConstants:
