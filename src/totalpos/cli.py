@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="path-sum closed forms, sublattice weight "
                        "sums, and the hypergeometric identity grid")
     p.add_argument("--m", type=_even_m, required=True)
-    p.add_argument("--budget", type=int, default=10**6, help="path enumeration budget")
     add_common(p)
 
     p = sub.add_parser("lgv-check", help="random minors versus disjoint-path "
@@ -203,7 +202,7 @@ def _cmd_network(args) -> tuple[str, bool]:
 
 def _cmd_lemmas(args) -> tuple[str, bool]:
     m = args.m
-    path_report = lemma_path_report(m, budget=args.budget)
+    path_report = lemma_path_report(m)
     wab_mismatches = []
     wab_cases = 0
     for a in range(0, 9):
@@ -239,7 +238,7 @@ def _cmd_lemmas(args) -> tuple[str, bool]:
             "failures": saal_failures,
         },
     ]
-    cert = _certificate("lemmas", m, None, None, checks, budget=args.budget)
+    cert = _certificate("lemmas", m, None, None, checks)
     return json.dumps(cert, indent=2) + "\n", cert["pass"]
 
 

@@ -33,8 +33,8 @@ from .matrices import (
 )
 from .networks import PathCollection, find_positive_collection, weight_matrix
 from .poly import Polynomial
-from .scalars import binomial, format_rational
-from .three_section import build_three_section, closed_form_entry, standard_weights
+from .scalars import format_rational
+from .three_section import build_three_section, closed_form_matrix, standard_weights
 
 __all__ = [
     "family_polys",
@@ -77,30 +77,23 @@ def binomial_block_matrix(m: int) -> ExactMatrix:
     """The m x m binomial block matrix [[B1, B2], [0, B3]].
 
     B1[i][j] = C(t+i-1, j-1), B2[i][j] = C(t+i-1, t+j-1) and
-    B3[i][j] = C(t-i, j-i), each t x t.  Equivalently, entry (i, j) is
+    B3[i][j] = C(t-i, j-i), each t x t: entry (i, j) of the whole is
     closed_form_entry(i, j, m).
     """
-    t = _check_even(m)
-    return ExactMatrix.from_rows(
-        [closed_form_entry(i, j, m) for j in range(1, m + 1)]
-        for i in range(1, m + 1)
-    )
+    _check_even(m)
+    return closed_form_matrix(m)
 
 
 def block_determinants(m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Determinants of the three t x t blocks; each equals 1."""
+    """Determinants of the blocks B1, B2 and B3 of binomial_block_matrix;
+    each equals 1."""
     t = _check_even(m)
-    b1 = ExactMatrix.from_rows(
-        [binomial(t + i - 1, j - 1) for j in range(1, t + 1)] for i in range(1, t + 1)
+    block = binomial_block_matrix(m)
+    low, high = range(t), range(t, m)
+    return tuple(
+        determinant(block.submatrix(rows, cols))
+        for rows, cols in ((low, low), (low, high), (high, high))
     )
-    b2 = ExactMatrix.from_rows(
-        [binomial(t + i - 1, t + j - 1) for j in range(1, t + 1)]
-        for i in range(1, t + 1)
-    )
-    b3 = ExactMatrix.from_rows(
-        [binomial(t - i, j - i) for j in range(1, t + 1)] for i in range(1, t + 1)
-    )
-    return determinant(b1), determinant(b2), determinant(b3)
 
 
 def sign_factorization_matrices(m: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -197,7 +190,6 @@ def positive_minor_scan(
     m: int,
     *,
     with_witnesses: bool = False,
-    witness_budget: int = 10**6,
 ) -> PositiveMinorReport:
     """Check positivity of every block-matrix minor whose column set
     contains {t+1, ..., m}; optionally attach a positive path-collection
@@ -244,7 +236,7 @@ def positive_minor_scan(
         if value <= 0:
             violations.append((rows, cols, value))
         elif with_witnesses:
-            found = find_positive_collection(net, rows, cols, budget=witness_budget)
+            found = find_positive_collection(net, rows, cols)
             if found is None:
                 missing.append((rows, cols))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))

@@ -32,8 +32,8 @@ determinant is taken.  Whether any maximal minor is 0 is the same walk
 over C, descending no further after its first zero minor
 (_has_zero_maximal_minor).
 Sampled scans take one determinant of C per subset; from 4096 subsets
-up they spread over one worker process per CPU.  The per-subset determinant of M[I] is the test
-oracle.
+up they spread over one worker process per CPU.  The per-subset
+determinant of M[I] is the test oracle.
 """
 
 from __future__ import annotations

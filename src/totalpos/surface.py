@@ -450,18 +450,11 @@ def search_constants(
 
     for j in range(2, t + 1):
         found = None
+        used = {v for pair in fixed for v in pair}
         for a, b in stage_candidates():
+            if attempts >= retry_limit:
+                break
             attempts += 1
-            if attempts > retry_limit:
-                raise SearchExhaustedError(
-                    f"no passing constants within {retry_limit} candidates",
-                    partial=SearchResult(
-                        constants=FamilyConstants(tuple(fixed)),
-                        attempts=attempts - 1,
-                        rejected=tuple(rejected),
-                    ),
-                )
-            used = {v for pair in fixed for v in pair}
             if a == b or a in used or b in used:
                 rejected.append((j, (a, b), "duplicate-constant"))
                 continue

@@ -13,7 +13,6 @@ per-edge denominators telescope along every monotone right-section path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix
-from .networks import PlanarNetwork, count_paths, iter_paths
+from .networks import PlanarNetwork, weight_matrix
 from .scalars import Rational, binomial, format_rational, pochhammer
 
 __all__ = [
@@ -287,55 +286,43 @@ class LemmaPathReport:
         }
 
 
-def lemma_path_report(m: int, *, budget: int = 10**6) -> LemmaPathReport:
-    """Enumerate every source-to-sink path of the standard network and
-    compare three weight sums per boundary pair against their closed
-    forms: all paths against closed_form_entry; paths without a
-    descending step against binomial(t, j - i) for i <= t and against
-    closed_form_entry for i > t (descents above level t all weigh zero);
-    paths without an ascending step against binomial(i - 1, j - 1) for
-    i <= t (no prediction above t).
+def lemma_path_report(m: int) -> LemmaPathReport:
+    """Compare three path-weight sums per boundary pair of the standard
+    network against their closed forms: all paths against
+    closed_form_entry; paths without a descending step against
+    binomial(t, j - i) for i <= t and against closed_form_entry for
+    i > t (descents above level t all weigh zero); paths without an
+    ascending step against binomial(i - 1, j - 1) for i <= t (no
+    prediction above t).
 
-    Zero-weight edges are pruned before enumeration: they change no sum
-    and only inflate the path count against the budget.
+    Each table of sums is the weight matrix of the network restricted to
+    the edges a path of that kind may take, and the path count is the
+    weight matrix of its nonzero edges at unit weight.  Zero-weight edges
+    are left out of the count: they change no sum.
     """
-    weights = standard_weights(m)  # validates m
-    net = build_three_section(weights)
+    net = build_three_section(standard_weights(m))  # validates m
     t = m // 2
-    pruned = PlanarNetwork(
-        net.vertices,
-        [(a, b, w) for (a, b, w) in net.edges if w != 0],
-        net.sources,
-        net.sinks,
-    )
-    total_paths = 0
-    for src in pruned.sources:
-        for snk in pruned.sinks:
-            total_paths += count_paths(pruned, src, snk)
-            if total_paths > budget:
-                raise EnumerationBudgetError(
-                    f"path count exceeds enumeration budget {budget}"
-                )
-    zero = Fraction(0)
-    sums = {}  # (i, j) -> [all, ascent_only, descent_only]
-    for i, src in enumerate(pruned.sources, start=1):
-        for j, snk in enumerate(pruned.sinks, start=1):
-            acc = [zero, zero, zero]
-            for path, w in iter_paths(pruned, src, snk):
-                levels = [lvl for (_, lvl) in path]
-                has_desc = any(b < a for a, b in zip(levels, levels[1:]))
-                has_asc = any(b > a for a, b in zip(levels, levels[1:]))
-                acc[0] += w
-                if not has_desc:
-                    acc[1] += w
-                if not has_asc:
-                    acc[2] += w
-            sums[(i, j)] = acc
+
+    def sums(keep, unit=False) -> tuple[tuple[Fraction, ...], ...]:
+        """Weight matrix over the nonzero edges whose tail and head levels
+        pass keep, each at unit weight when unit is set."""
+        edges = [
+            (a, b, 1 if unit else w) for a, b, w in net.edges if w and keep(a[1], b[1])
+        ]
+        kept = PlanarNetwork(net.vertices, edges, net.sources, net.sinks)
+        return weight_matrix(kept).entries
+
+    totals = sums(lambda tail, head: True)
+    ascent_only = sums(lambda tail, head: head >= tail)
+    descent_only = sums(lambda tail, head: head <= tail)
+    counts = sums(lambda tail, head: True, unit=True)
     checks = []
     mismatches = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            all_w, up_w, down_w = sums[(i, j)]
+            all_w = totals[i - 1][j - 1]
+            up_w = ascent_only[i - 1][j - 1]
+            down_w = descent_only[i - 1][j - 1]
             total_exp = Fraction(closed_form_entry(i, j, m))
             if i <= t:
                 up_exp = Fraction(binomial(t, j - i))
@@ -355,7 +342,7 @@ def lemma_path_report(m: int, *, budget: int = 10**6) -> LemmaPathReport:
         m=m,
         checks=tuple(checks),
         mismatches=tuple(mismatches),
-        enumerated_paths=total_paths,
+        enumerated_paths=int(sum(map(sum, counts))),
     )
 
 

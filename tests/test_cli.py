@@ -132,10 +132,19 @@ class TestLemmas:
         assert names == ["lemma_paths", "w_ab_grid", "saalschuetz_grid"]
         assert cert["checks"][0]["report"]["enumerated_paths"] == 14
 
-    def test_budget_guard(self, capsys):
-        code, payload = run_json(capsys, ["lemmas", "--m", "8", "--budget", "2"])
-        assert code == 2
-        assert "error" in payload
+    def test_large_m_passes_without_a_budget(self, capsys):
+        code, cert = run_json(capsys, ["lemmas", "--m", "22"])
+        assert code == 0
+        assert cert["pass"] is True
+        assert "budget" not in cert
+        assert cert["checks"][0]["report"]["enumerated_paths"] == 2461131
+
+    def test_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["lemmas", "--m", "8", "--budget", "2"])
+        assert info.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "unrecognized arguments" in payload["error"]
 
 
 class TestLgvCheck:

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totalpos.three_section
 from totalpos import (
     EnumerationBudgetError,
+    PlanarNetwork,
     SectionWeights,
     ascent_level_product,
+    binomial,
     build_three_section,
     closed_form_entry,
     closed_form_matrix,
+    count_paths,
     extract_weights,
     iter_paths,
     lemma_path_report,
@@ -23,6 +28,81 @@ from totalpos import (
     weight_key_set,
     weight_matrix,
 )
+from totalpos.three_section import LemmaPathReport, PairCheck
+
+
+def lemma_path_oracle(m: int, *, budget: int = 10**6) -> LemmaPathReport:
+    """Independent oracle: enumerate every source-to-sink path of the
+    standard network and compare three weight sums per boundary pair
+    against their closed forms: all paths against closed_form_entry;
+    paths without a descending step against binomial(t, j - i) for
+    i <= t and against closed_form_entry for i > t (descents above level
+    t all weigh zero); paths without an ascending step against
+    binomial(i - 1, j - 1) for i <= t (no prediction above t).  It reads
+    the weights through the three_section module, so patched weights
+    reach it too.
+
+    Zero-weight edges are pruned before enumeration: they change no sum
+    and only inflate the path count against the budget.
+    """
+    weights = totalpos.three_section.standard_weights(m)  # validates m
+    net = build_three_section(weights)
+    t = m // 2
+    pruned = PlanarNetwork(
+        net.vertices,
+        [(a, b, w) for (a, b, w) in net.edges if w != 0],
+        net.sources,
+        net.sinks,
+    )
+    total_paths = 0
+    for src in pruned.sources:
+        for snk in pruned.sinks:
+            total_paths += count_paths(pruned, src, snk)
+            if total_paths > budget:
+                raise EnumerationBudgetError(
+                    f"path count exceeds enumeration budget {budget}"
+                )
+    zero = Fraction(0)
+    sums = {}  # (i, j) -> [all, ascent_only, descent_only]
+    for i, src in enumerate(pruned.sources, start=1):
+        for j, snk in enumerate(pruned.sinks, start=1):
+            acc = [zero, zero, zero]
+            for path, w in iter_paths(pruned, src, snk):
+                levels = [lvl for (_, lvl) in path]
+                has_desc = any(b < a for a, b in zip(levels, levels[1:]))
+                has_asc = any(b > a for a, b in zip(levels, levels[1:]))
+                acc[0] += w
+                if not has_desc:
+                    acc[1] += w
+                if not has_asc:
+                    acc[2] += w
+            sums[(i, j)] = acc
+    checks = []
+    mismatches = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            all_w, up_w, down_w = sums[(i, j)]
+            total_exp = Fraction(closed_form_entry(i, j, m))
+            if i <= t:
+                up_exp = Fraction(binomial(t, j - i))
+                down_exp: Optional[Fraction] = Fraction(binomial(i - 1, j - 1))
+            else:
+                up_exp = total_exp
+                down_exp = None
+            check = PairCheck(i, j, all_w, total_exp, up_w, up_exp, down_w, down_exp)
+            checks.append(check)
+            if all_w != total_exp:
+                mismatches.append((i, j, "total"))
+            if up_w != up_exp:
+                mismatches.append((i, j, "ascent_only"))
+            if down_exp is not None and down_w != down_exp:
+                mismatches.append((i, j, "descent_only"))
+    return LemmaPathReport(
+        m=m,
+        checks=tuple(checks),
+        mismatches=tuple(mismatches),
+        enumerated_paths=total_paths,
+    )
 
 
 class TestWeightKeys:
@@ -203,6 +283,30 @@ class TestLemmaPathReport:
         # Above the middle level the descent-only count has no closed form.
         assert by_pair[(3, 3)].descent_only_expected is None
         assert by_pair[(3, 3)].descent_only == 1
+
+    @pytest.mark.parametrize("m", range(2, 11, 2))
+    def test_sweep_matches_the_enumeration_oracle(self, m):
+        assert lemma_path_report(m).to_json_dict() == lemma_path_oracle(m).to_json_dict()
+
+    def test_planted_weights_match_the_oracle(self, monkeypatch):
+        """The m=6 network with ascending weight (1, 1) raised from 3 to
+        7/2 and descending weight (1, 2) from 1 to 3: the totals and both
+        one-direction sums move, and the mismatches match the oracle's."""
+        weights = standard_weights(6)
+        planted = SectionWeights(
+            n=6,
+            left={**weights.left, (1, 2): Fraction(3)},
+            middle=weights.middle,
+            right={**weights.right, (1, 1): Fraction(7, 2)},
+        )
+        monkeypatch.setattr(totalpos.three_section, "standard_weights", lambda m: planted)
+        rep = lemma_path_report(6)
+        assert rep.to_json_dict() == lemma_path_oracle(6).to_json_dict()
+        assert {field for _, _, field in rep.mismatches} == {
+            "total",
+            "ascent_only",
+            "descent_only",
+        }
 
     def test_report_serializes(self):
         d = lemma_path_report(2).to_json_dict()
