@@ -35,6 +35,7 @@ from .networks import export_dot, export_json, lgv_oracle_minor, weight_matrix
 from .scalars import format_rational, saalschuetz_check
 from .surface import (
     ExtPolynomial,
+    ext_rational,
     extended_family,
     hyperplane_coefficients,
     search_constants,
@@ -296,13 +297,15 @@ def _cmd_extend(args) -> tuple[str, bool]:
     square_sum = ExtPolynomial.zero(disc)
     for h in data.h:
         square_sum = square_sum + h * h
-    fam = extended_family(m, result.constants)
+    # Each h has two nonzero coefficients, so the sums run over those only.
+    terms = [(j, k, x) for j, h in enumerate(data.h)
+             for k, x in enumerate(h.coeffs) if not x.is_zero]
     recon_ok = True
-    for i, f in enumerate(fam):
-        acc = ExtPolynomial.zero(disc)
-        for j in range(m):
-            acc = acc + data.h[j].scale(data.c[i][j])
-        if not (acc - ExtPolynomial.from_rational(f, disc)).is_zero:
+    for i, f in enumerate(extended_family(m, result.constants)):
+        acc = [ext_rational(f.coefficient(k), disc) for k in range(m)]
+        for j, k, x in terms:
+            acc[k] = acc[k] - data.c[i][j] * x
+        if not all(v.is_zero for v in acc):
             recon_ok = False
             break
     checks = [

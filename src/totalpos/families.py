@@ -27,11 +27,10 @@ from .matrices import (
     _laplace_walk,
     determinant,
     diagonal,
-    identity,
     matmul,
     maximal_minor_scan,
 )
-from .networks import PathCollection, find_positive_collection, weight_matrix
+from .networks import find_positive_collection, weight_matrix
 from .poly import Polynomial
 from .scalars import format_rational
 from .three_section import build_three_section, closed_form_matrix, standard_weights

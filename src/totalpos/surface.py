@@ -380,19 +380,6 @@ class SearchResult:
     rejected: tuple[tuple[int, tuple[Fraction, Fraction], str], ...]
 
 
-def _candidate_values(bound: int, seed: int, retry_limit: int) -> Iterable[Fraction]:
-    """Small integers ordered by magnitude, then seeded random rationals
-    with numerator and denominator bounded."""
-    for a in range(1, bound + 1):
-        yield Fraction(-a)
-        yield Fraction(a)
-    rng = random.Random(seed)
-    for _ in range(retry_limit):
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        yield Fraction(num, den)
-
-
 def search_constants(
     m: int,
     bound: int = 10,
@@ -411,16 +398,20 @@ def search_constants(
     stage scans all C(m(m+1)/2, m) subsets, so ScanBudgetError is raised
     before any candidate is tried when that count exceeds
     exhaustive_limit.
-    Candidates come from `candidates` first (useful to force or to test
-    specific pairs), then ordered small integers, then seeded random
-    rationals, so the result is reproducible from (bound, seed).
-    Exhausting the retry limit raises SearchExhaustedError carrying the
-    partial result.
+    One candidate stream serves every stage: the forced `candidates`
+    first (useful to force or to test specific pairs), then seeded
+    random pairs of distinct values from {p/q : |p| <= bound,
+    1 <= q <= bound} minus the values already fixed, so the result is
+    reproducible from (bound, seed) and only a forced candidate can
+    repeat a value.  Reaching the retry limit, or running out of fresh
+    values, raises SearchExhaustedError carrying the partial result.
     """
     if m % 2 or m < 4:
         raise ValueError("m must be an even integer >= 4")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    if retry_limit < 1:
+        raise ValueError("retry_limit must be a positive integer")
     total = math.comb(m * (m + 1) // 2, m)
     if total > exhaustive_limit:
         raise ScanBudgetError(
@@ -431,54 +422,49 @@ def search_constants(
     fixed: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(1))]
     attempts = 0
     rejected: list[tuple[int, tuple[Fraction, Fraction], str]] = []
+    forced = iter(candidates or ())
+    fresh = sorted(
+        {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+        - set(fixed[0])
+    )
+    rng = random.Random(seed)
 
-    def stage_candidates() -> Iterable[tuple[Fraction, Fraction]]:
-        if candidates is not None:
-            for a, b in candidates:
-                yield (Fraction(a), Fraction(b))
-        # Pair values in order of the larger index so small combinations
-        # come first; plain permutations() would spend the whole retry
-        # budget on pairs sharing the first value.
-        seen: list[Fraction] = []
-        for v in _candidate_values(bound, seed, retry_limit):
-            if v in seen:
-                continue
-            for u in seen:
-                yield (u, v)
-                yield (v, u)
-            seen.append(v)
+    def result() -> SearchResult:
+        return SearchResult(
+            constants=FamilyConstants(tuple(fixed)),
+            attempts=attempts,
+            rejected=tuple(rejected),
+        )
 
-    for j in range(2, t + 1):
-        found = None
-        used = {v for pair in fixed for v in pair}
-        for a, b in stage_candidates():
-            if attempts >= retry_limit:
-                break
-            attempts += 1
-            if a == b or a in used or b in used:
-                rejected.append((j, (a, b), "duplicate-constant"))
-                continue
-            # The family truncated to the pairs fixed so far.
-            matrix = coefficient_matrix(_family_with_pairs(m, fixed[1:] + [(a, b)]), m)
-            if not _has_zero_maximal_minor(matrix):
-                found = (a, b)
-                break
-            rejected.append((j, (a, b), "singular-subset"))
-        if found is None:
+    while len(fixed) < t:
+        if attempts >= retry_limit:
             raise SearchExhaustedError(
                 f"no passing constants within {retry_limit} candidates",
-                partial=SearchResult(
-                    constants=FamilyConstants(tuple(fixed)),
-                    attempts=attempts,
-                    rejected=tuple(rejected),
-                ),
+                partial=result(),
             )
-        fixed.append(found)
-    return SearchResult(
-        constants=FamilyConstants(tuple(fixed)),
-        attempts=attempts,
-        rejected=tuple(rejected),
-    )
+        pair = next(forced, None)
+        if pair is None:
+            if len(fresh) < 2:
+                raise SearchExhaustedError(
+                    f"fewer than two unused values within bound {bound}",
+                    partial=result(),
+                )
+            pair = rng.sample(fresh, 2)
+        a, b = Fraction(pair[0]), Fraction(pair[1])
+        attempts += 1
+        j = len(fixed) + 1
+        used = {v for p in fixed for v in p}
+        if a == b or a in used or b in used:
+            rejected.append((j, (a, b), "duplicate-constant"))
+            continue
+        # The family truncated to the pairs fixed so far.
+        matrix = coefficient_matrix(_family_with_pairs(m, fixed[1:] + [(a, b)]), m)
+        if _has_zero_maximal_minor(matrix):
+            rejected.append((j, (a, b), "singular-subset"))
+            continue
+        fixed.append((a, b))
+        fresh = [v for v in fresh if v not in (a, b)]
+    return result()
 
 
 def _ext_determinant(rows: list[list[ExtScalar]], disc: int) -> ExtScalar:

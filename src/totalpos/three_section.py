@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix
 from .networks import PlanarNetwork, weight_matrix
-from .scalars import Rational, binomial, format_rational, pochhammer
+from .scalars import binomial, format_rational, pochhammer
 
 __all__ = [
     "SectionWeights",

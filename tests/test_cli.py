@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from totalpos import import_json
+from totalpos import ext_rational, hyperplane_coefficients, import_json
 from totalpos.cli import main
 
 
@@ -167,8 +169,10 @@ class TestExtend:
         assert code == 0
         names = [c["name"] for c in cert["checks"]]
         assert names == ["search", "general_position", "sum_h_squares_zero", "reconstruction_exact"]
-        assert cert["checks"][0]["attempts"] == 39
-        assert cert["weierstrass"]["psi_roots"] == ["0", "1", "-3", "-4"]
+        search = cert["checks"][0]
+        assert search["attempts"] == search["rejected"] + 1
+        constants = [v for pair in cert["weierstrass"]["constants"] for v in pair]
+        assert cert["weierstrass"]["psi_roots"] == constants
 
     def test_m2_is_rejected(self, capsys):
         code, payload = run_json(capsys, ["extend", "--m", "2"])
@@ -176,9 +180,30 @@ class TestExtend:
         assert "m >= 4" in payload["error"]
 
     def test_tiny_retry_limit_is_a_usage_error(self, capsys):
-        code, payload = run_json(capsys, ["extend", "--m", "4", "--retry-limit", "2"])
+        # bound 1 leaves one fresh value, so the search is exhausted at once.
+        code, payload = run_json(capsys, ["extend", "--m", "4", "--bound", "1"])
         assert code == 2
-        assert "error" in payload
+        assert "fewer than two unused values" in payload["error"]
+
+    def test_zero_retry_limit_is_a_usage_error(self, capsys):
+        code, payload = run_json(capsys, ["extend", "--m", "4", "--retry-limit", "0"])
+        assert code == 2
+        assert "retry_limit must be a positive integer" in payload["error"]
+
+    def test_perturbed_coefficient_fails_reconstruction(self, capsys, monkeypatch):
+        def perturbed(m, constants):
+            data = hyperplane_coefficients(m, constants)
+            row = list(data.c[3])
+            row[1] = row[1] + ext_rational(Fraction(1, 7), row[1].disc)
+            c = data.c[:3] + (tuple(row),) + data.c[4:]
+            return dataclasses.replace(data, c=c)
+
+        monkeypatch.setattr("totalpos.cli.hyperplane_coefficients", perturbed)
+        code, cert = run_json(capsys, ["extend", "--m", "4"])
+        assert code == 1
+        checks = {c["name"]: c["pass"] for c in cert["checks"]}
+        assert checks["reconstruction_exact"] is False
+        assert checks["sum_h_squares_zero"] is True
 
     def test_m8_is_over_the_exhaustive_budget(self, capsys):
         code, payload = run_json(capsys, ["extend", "--m", "8"])

@@ -203,12 +203,20 @@ class TestExtendedFamily:
 
 class TestSearchConstants:
     def test_m4_search_is_reproducible(self):
+        # Pinned values: the seeded stream must draw the same pairs on
+        # every supported Python version.
         res = search_constants(4)
-        assert res.constants.pairs == ((Fraction(0), Fraction(1)), (Fraction(-3), Fraction(-4)))
-        assert res.attempts == 39
+        assert res.constants.pairs == ((Fraction(0), Fraction(1)), (Fraction(9, 5), Fraction(-3, 7)))
+        assert res.attempts == 1
         assert len(res.rejected) == res.attempts - 1
         again = search_constants(4)
         assert again.constants == res.constants and again.attempts == res.attempts
+        m6 = search_constants(6)
+        assert m6.constants.pairs[1:] == (
+            (Fraction(9, 5), Fraction(-3, 7)),
+            (Fraction(9, 2), Fraction(-7, 6)),
+        )
+        assert m6.attempts == 10
 
     def test_found_constants_verify_exhaustively(self):
         res = search_constants(4)
@@ -217,11 +225,34 @@ class TestSearchConstants:
         assert rep.total_subsets == 210
 
     def test_rejections_carry_stage_and_reason(self):
-        res = search_constants(4)
+        # Seed 3 rejects candidates at both stages of m = 6.
+        res = search_constants(6, seed=3)
         stages = {r[0] for r in res.rejected}
         reasons = {r[2] for r in res.rejected}
-        assert stages <= {2}
-        assert reasons <= {"duplicate-constant", "singular-subset"}
+        assert stages == {2, 3}
+        assert reasons == {"singular-subset"}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_generated_candidates_never_repeat_a_value(self, seed):
+        """Only singular pairs are rejected, the accepted values are all
+        distinct, and the searched family is in general position."""
+        res = search_constants(6, seed=seed)
+        assert all(reason == "singular-subset" for _, _, reason in res.rejected)
+        values = res.constants.values
+        assert len(values) == len(set(values)) == 6
+        assert verify_extended_general_position(6, res.constants).ok
+
+    def test_running_out_of_fresh_values_is_exhaustion(self):
+        # bound 1 leaves only -1 besides the fixed 0 and 1.
+        with pytest.raises(SearchExhaustedError, match="fewer than two") as info:
+            search_constants(4, bound=1)
+        assert info.value.partial.attempts == 0
+        assert info.value.partial.rejected == ()
+
+    @pytest.mark.parametrize("kwargs", [{"bound": 0}, {"retry_limit": 0}, {"retry_limit": -3}])
+    def test_nonpositive_bound_or_retry_limit_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="positive integer"):
+            search_constants(4, **kwargs)
 
     def test_injected_candidates_take_priority(self):
         res = search_constants(4, candidates=[(Fraction(-3), Fraction(-4))])
@@ -234,10 +265,12 @@ class TestSearchConstants:
         assert res.constants.pairs[1] == (Fraction(-3), Fraction(-4))
 
     def test_retry_limit_exhaustion_reports_progress(self):
-        with pytest.raises(SearchExhaustedError) as info:
-            search_constants(4, retry_limit=2)
+        singular = [(2, 3), (Fraction(-3, 2), 3)]
+        with pytest.raises(SearchExhaustedError, match="within 2 candidates") as info:
+            search_constants(4, retry_limit=2, candidates=singular)
         assert info.value.partial.attempts == 2
-        assert len(info.value.partial.rejected) == 2
+        assert [r[1] for r in info.value.partial.rejected] == singular
+        assert {r[2] for r in info.value.partial.rejected} == {"singular-subset"}
 
     def test_sampled_stage_counterexample_is_singular(self):
         # A search that sampled its stages once accepted these m=8 pairs.
@@ -337,7 +370,8 @@ class TestHyperplaneCoefficients:
     def test_root_list_matches_constants(self):
         res = search_constants(4)
         data = hyperplane_coefficients(4, res.constants)
-        assert data.psi_roots == (0, 1, -3, -4)
+        assert data.psi_roots == (0, 1, Fraction(9, 5), Fraction(-3, 7))
+        assert data.psi_roots == res.constants.values
 
     def test_json_schema(self):
         res = search_constants(4)
