@@ -9,8 +9,13 @@ It visits row prefixes depth first.  A node holds every minor on its
 rows, and a child gets its minors by Laplace expansion along its new
 last row from its parent's, with no division, so zero minors cost
 nothing extra: at most sum_k k*C(r,k)*C(c,k) integer multiply-adds for
-an r x c matrix.  A wide matrix is walked as its transpose so that the
-expansion tables span the shorter side.  It has four consumers: the
+an r x c matrix.  The expansion from one minor size to the next is a
+generated kernel (_laplace_kernel): one function per (width, size),
+compiled on first use from source that spells every minor out as a
+signed sum of products, and cached for the life of the process, so
+the multiply-adds run as straight-line code with no per-term loop.  A
+wide matrix is walked as its transpose so that the kernels span the
+shorter side.  It has four consumers: the
 TNN/TP verdicts here, which keep the least violation and prune below
 it; exhaustive maximal-minor scans, which walk the coordinate matrix C
 below; the zero-minor test of a constant-search candidate, which walks
@@ -38,8 +43,10 @@ determinant of M[I] is the test oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import operator
 import os
 import random
 import time
@@ -188,13 +195,17 @@ def minor(matrix: ExactMatrix, query: MinorQuery) -> Fraction:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The exact product, from integer dot products: each row of a and each
+    column of b is lifted to integers once, and each entry is one Fraction
+    of an integer dot product over the two scales."""
     if a.cols != b.rows:
         raise ValueError("inner dimensions must agree")
-    bt = list(zip(*b.entries)) if b.entries else []
+    rows = [_int_lift_row(row) for row in a.entries]
+    cols = [_int_lift_row(col) for col in zip(*b.entries)]
     return ExactMatrix(
         tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.entries
+            tuple(Fraction(sum(map(operator.mul, x, y)), sx * sy) for y, sy in cols)
+            for x, sx in rows
         )
     )
 
@@ -220,28 +231,43 @@ def _minor_count(rows: int, cols: int) -> int:
     return math.comb(rows + cols, rows) - 1
 
 
-def _laplace_tables(n: int) -> list:
-    """Laplace expansion terms for the minors over the columns range(n).
+@functools.lru_cache(maxsize=None)
+def _laplace_kernel(n: int, s: int) -> tuple[tuple[tuple[int, ...], ...], Callable]:
+    """The Laplace expansion from the (s-1)-minors to the s-minors over the
+    columns range(n), as (subsets, expand).
 
-    Entry s (1 <= s <= n) is (subsets, plus, minus): the s-subsets J of
-    the columns in lex order, and for each column j the pairs (t, q) with
-    J = subsets[t] containing j at position p and J - {j} the (s-1)-subset
-    of lex rank q, split by the cofactor sign (-1)^(s-1+p) of a new last
-    row.  Entry 0 is unused.  Together they hold sum_s s*C(n, s) pairs.
+    subsets holds the s-subsets J of the columns in lex order.  expand(rows,
+    parent) takes the parent's minors over the (s-1)-subsets in lex order
+    and returns, for each integer row in rows, the s-minors of the parent's
+    rows plus that row as their new last row: entry t is
+    sum_p (-1)^(s-1+p) row[j_p] * parent[rank(J - j_p)] for J = subsets[t],
+    with p counted from 0.  expand is one straight-line function compiled
+    from source built of n, s and lex ranks only; it unpacks the parent
+    into locals and spells every minor out as one signed sum of products,
+    s*C(n, s) products per row in all.  Kernels are built on first use and
+    kept for the life of the process; a walk of width n uses n of them.
     """
-    out: list = [None]
-    rank = {(): 0}
-    for s in range(1, n + 1):
-        subsets = list(combinations(range(n), s))
-        plus: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        minus: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for t, cols in enumerate(subsets):
-            for p, j in enumerate(cols):
-                terms = minus if (s - 1 + p) % 2 else plus
-                terms[j].append((t, rank[cols[:p] + cols[p + 1:]]))
-        out.append((subsets, plus, minus))
-        rank = {cols: t for t, cols in enumerate(subsets)}
-    return out
+    subsets = tuple(combinations(range(n), s))
+    rank = {cols: q for q, cols in enumerate(combinations(range(n), s - 1))}
+    sums = []
+    for cols in subsets:
+        plus, minus = [], []
+        for p, j in enumerate(cols):
+            term = f"r{j} * p{rank[cols[:p] + cols[p + 1:]]}"
+            (minus if (s - 1 + p) % 2 else plus).append(term)
+        sums.append(" - ".join([" + ".join(plus), *minus]))
+    source = (
+        "def expand(rows, parent):\n"
+        f"    {''.join(f'p{q}, ' for q in range(len(rank)))}= parent\n"
+        "    out = []\n"
+        "    append = out.append\n"
+        f"    for {''.join(f'r{j}, ' for j in range(n))}in rows:\n"
+        f"        append([{', '.join(sums)}])\n"
+        "    return out\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<laplace kernel {n}x{s}>", "exec"), namespace)
+    return subsets, namespace["expand"]
 
 
 def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
@@ -251,13 +277,16 @@ def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
     |I|-subsets J of the columns in lex order.  The child I + (i), for
     i > max I, gets each minor by expansion along its new last row:
     det A[I+i, J] = sum_p (-1)^(|I|+p) a[i][j_p] det A[I, J - j_p], with
-    p counted from 0.  The update never divides, so zero minors cost
-    nothing extra, and zero entries of the new row are skipped; a walk
-    takes at most sum_k k*C(r,k)*C(c,k) big-integer multiply-adds.
+    p counted from 0.  One generated kernel per (width, minor size)
+    (_laplace_kernel, compiled on first use and cached) computes every
+    child of a node in one call, as straight-line signed sums of
+    products.  The update never divides, so zero minors cost nothing
+    extra; zero entries are multiplied like any other, and a walk takes
+    at most sum_k k*C(r,k)*C(c,k) big-integer multiply-adds.
 
     A wide matrix (more columns than rows) is walked as its transpose,
-    so the expansion tables span the shorter side; "rows" below are the
-    walked ones.  Each walked row is lifted to integers once, so a node's
+    so the kernels span the shorter side; "rows" below are the walked
+    ones.  Each walked row is lifted to integers once, so a node's
     minors are integers over one positive scale, the product of its row
     scales, and keep their signs.  For every node, in depth-first order,
     visit(node, subsets, minors, scale) gets the row tuple, the column
@@ -268,22 +297,16 @@ def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
     if grid and len(grid[0]) > len(grid):
         grid = list(zip(*grid))
     lifted = [_int_lift_row(row) for row in grid]
-    depth = min(len(grid), len(grid[0])) if grid else 0
-    tables = _laplace_tables(depth)
+    rows = [ints for ints, _ in lifted]
+    width = len(grid[0]) if grid else 0
+    depth = min(len(grid), width)
 
     def walk(node: tuple, parent: list[int], scale: int) -> None:
         s = len(node) + 1
-        subsets, plus, minus = tables[s]
-        for i in range(node[-1] + 1 if node else 0, len(lifted)):
-            row, row_scale = lifted[i]
-            minors = [0] * len(subsets)
-            for j, a in enumerate(row):
-                if a:
-                    for t, q in plus[j]:
-                        minors[t] += a * parent[q]
-                    for t, q in minus[j]:
-                        minors[t] -= a * parent[q]
-            child, child_scale = node + (i,), scale * row_scale
+        subsets, expand = _laplace_kernel(width, s)
+        start = node[-1] + 1 if node else 0
+        for i, minors in enumerate(expand(rows[start:], parent), start):
+            child, child_scale = node + (i,), scale * lifted[i][1]
             if visit(child, subsets, minors, child_scale) and s < depth:
                 walk(child, minors, child_scale)
 

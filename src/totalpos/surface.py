@@ -380,6 +380,21 @@ class SearchResult:
     rejected: tuple[tuple[int, tuple[Fraction, Fraction], str], ...]
 
 
+def _value_pool(bound: int, exclude: Iterable[Fraction]) -> list[Fraction]:
+    """Every p/q with |p| <= bound and 1 <= q <= bound, minus exclude, in
+    ascending order.
+
+    The sort key is the value times lcm(1, ..., bound), an exact integer
+    for each of these denominators, so the order is that of the values
+    and the sort compares integers only.
+    """
+    scale = math.lcm(*range(1, bound + 1))
+    values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+    return sorted(
+        values - set(exclude), key=lambda v: v.numerator * (scale // v.denominator)
+    )
+
+
 def search_constants(
     m: int,
     bound: int = 10,
@@ -423,10 +438,7 @@ def search_constants(
     attempts = 0
     rejected: list[tuple[int, tuple[Fraction, Fraction], str]] = []
     forced = iter(candidates or ())
-    fresh = sorted(
-        {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
-        - set(fixed[0])
-    )
+    fresh = _value_pool(bound, fixed[0])
     rng = random.Random(seed)
 
     def result() -> SearchResult:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,7 +38,13 @@ from totalpos import (
     verify_extended_general_position,
 )
 import totalpos
-from totalpos.matrices import _bareiss_det, _has_zero_maximal_minor
+from totalpos.matrices import (
+    _bareiss_det,
+    _has_zero_maximal_minor,
+    _laplace_kernel,
+    _laplace_walk,
+    _minor_count,
+)
 
 
 def cofactor_determinant(rows):
@@ -185,6 +192,74 @@ def planted_m6(extras):
     return [coefficient_matrix(extended_family(6, constants_from_extras(extras)), 6)]
 
 
+def fraction_sum_product(a_rows, b_rows):
+    """Independent oracle: each entry of a * b as a plain sum of Fraction
+    products."""
+    width = len(b_rows[0]) if b_rows else 0
+    return [
+        [sum((Fraction(row[p]) * Fraction(b_rows[p][j]) for p in range(len(b_rows))), Fraction(0))
+         for j in range(width)]
+        for row in a_rows
+    ]
+
+
+@st.composite
+def product_operands(draw):
+    """Row lists of an r x k and a k x c matrix, r, k, c in 0..4, with
+    rational entries of both signs; k is 0 when r is, since a matrix
+    without rows has no columns."""
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    k = k if r else 0
+    entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return a, b
+
+
+def walk_records(entries, descend=lambda node: True):
+    """Every (node, subsets, minors, scale) the Laplace walk visits, in
+    order; it descends below the nodes that descend(node) accepts."""
+    records = []
+
+    def visit(node, subsets, minors, scale):
+        records.append((node, subsets, minors, scale))
+        return descend(node)
+
+    _laplace_walk(entries, visit)
+    return records
+
+
+def check_walk_record(matrix, record):
+    """One visited node against the per-minor determinant oracle: its
+    column subsets, its scale (the product of its walked rows' common
+    denominators) and each minor over that scale."""
+    node, subsets, minors, scale = record
+    transposed = matrix.cols > matrix.rows
+    walked = transpose(matrix) if transposed else matrix
+    assert subsets == tuple(combinations(range(walked.cols), len(node)))
+    assert scale == math.prod(
+        math.lcm(*(x.denominator for x in walked.entries[i])) for i in node
+    )
+    assert len(minors) == len(subsets)
+    for other, value in zip(subsets, minors):
+        rows, cols = (other, node) if transposed else (node, other)
+        assert isinstance(value, int)
+        assert Fraction(value, scale) == determinant(matrix.submatrix(rows, cols))
+
+
+def shapes_by_width(seed, entry):
+    """Three seeded matrices for each width 1..6 (the shorter side), the
+    longer side up to two more, wide and tall alike."""
+    rng = random.Random(seed)
+    out = []
+    for width in range(1, 7):
+        for _ in range(3):
+            longer = rng.randint(width, width + 2)
+            r, c = (width, longer) if rng.random() < 0.5 else (longer, width)
+            out.append(ExactMatrix.from_rows([[entry(rng) for _ in range(c)] for _ in range(r)]))
+    return out
+
+
 square_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.fractions(max_denominator=6), min_size=n, max_size=n),
@@ -225,6 +300,14 @@ class TestExactMatrix:
         A = ExactMatrix.from_rows([[1, 2, 3]])
         with pytest.raises(ValueError):
             matmul(A, A)
+
+    @settings(max_examples=100)
+    @given(product_operands())
+    def test_matmul_matches_fraction_sums(self, operands):
+        a_rows, b_rows = operands
+        product = matmul(ExactMatrix.from_rows(a_rows), ExactMatrix.from_rows(b_rows))
+        assert product.to_lists() == fraction_sum_product(a_rows, b_rows)
+        assert all(isinstance(x, Fraction) for row in product.entries for x in row)
 
 
 class TestDeterminant:
@@ -338,6 +421,102 @@ class TestPositivityVerdicts:
         assert is_totally_positive(wide) == (False, expected)
         tall = is_totally_nonnegative(transpose(wide))
         assert tall == (False, MinorWitness(MinorQuery((39, 40), (1, 2)), Fraction(-1, 2)))
+
+
+class TestLaplaceKernels:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda: shapes_by_width(
+                    20261020, lambda rng: Fraction(rng.randint(-3, 9), rng.randint(1, 4))
+                ),
+                id="random-rational",
+            ),
+            pytest.param(
+                lambda: shapes_by_width(8, lambda rng: rng.choice((0, 0, 0, 1, 2, -1))),
+                id="zero-heavy",
+            ),
+            pytest.param(lambda: [planted_wide()], id="wide-2x40"),
+            pytest.param(lambda: [transpose(planted_wide())], id="tall-40x2"),
+            pytest.param(lambda: [ExactMatrix.from_rows([])], id="empty-0x0"),
+        ],
+    )
+    def test_every_visited_minor_matches_its_determinant(self, build):
+        """The walk visits every row subset of the walked side up to the
+        shorter side's size, depth first (lex order of tuples), and each
+        visited minor is the determinant of its submatrix."""
+        for M in build():
+            records = walk_records(M.entries)
+            walked, width = max(M.rows, M.cols), min(M.rows, M.cols)
+            expected = sorted(
+                node for k in range(1, width + 1) for node in combinations(range(walked), k)
+            )
+            assert [record[0] for record in records] == expected
+            for record in records:
+                check_walk_record(M, record)
+
+    def test_each_kernel_is_generated_once_and_reused(self):
+        rng = random.Random(4)
+        M = ExactMatrix.from_rows(
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)] for _ in range(6)]
+        )
+        _laplace_kernel.cache_clear()
+        first = walk_records(M.entries)
+        assert _laplace_kernel.cache_info().misses == 4
+        assert walk_records(M.entries) == first
+        info = _laplace_kernel.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        assert info.hits > 0
+        assert _laplace_kernel(4, 2) is _laplace_kernel(4, 2)
+
+    def test_kernels_are_built_only_for_the_sizes_walked(self):
+        M = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        _laplace_kernel.cache_clear()
+        assert len(walk_records(M.entries, lambda node: False)) == 3
+        assert _laplace_kernel.cache_info().currsize == 1
+
+    def test_import_builds_no_kernel(self):
+        code = (
+            "import totalpos, totalpos.cli\n"
+            "from totalpos.matrices import _laplace_kernel\n"
+            "print(_laplace_kernel.cache_info().currsize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(totalpos.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "0"
+
+    def test_width_eleven_compiles_quickly_and_expands_exactly(self):
+        """11 x 11 is the widest square shape the default 10^6 guard of the
+        total-minor scans admits.  Its eleven kernels (11 * 2^10 products in
+        all) compile in about 0.04 s on a 2-vCPU box; the bound only stops
+        a generator that grows out of hand.  The walk descends along the
+        prefixes (0, ..., k-1) only, so every kernel runs once per sibling,
+        and the minors on that path are checked against determinants."""
+        assert _minor_count(11, 11) <= 10**6 < _minor_count(12, 12)
+        _laplace_kernel.cache_clear()
+        t0 = time.perf_counter()
+        kernels = [_laplace_kernel(11, s) for s in range(1, 12)]
+        assert time.perf_counter() - t0 < 10
+        assert [len(subsets) for subsets, _ in kernels] == [math.comb(11, s) for s in range(1, 12)]
+        rng = random.Random(11)
+        M = ExactMatrix.from_rows(
+            [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(11)]
+             for _ in range(11)]
+        )
+        records = walk_records(M.entries, lambda node: node == tuple(range(len(node))))
+        path = [record for record in records if record[0] == tuple(range(len(record[0])))]
+        assert len(path) == 11
+        assert _laplace_kernel.cache_info().misses == 11
+        for record in path:
+            check_walk_record(M, record)
+        assert path[-1][2] != [0]  # det M, nonzero for this seed
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from totalpos import (
     wronskian,
 )
 from totalpos.matrices import _has_zero_maximal_minor
-from totalpos.surface import _family_with_pairs
+from totalpos.surface import _family_with_pairs, _value_pool
 
 
 quads = st.tuples(*[st.fractions(max_denominator=6)] * 4)
@@ -282,6 +282,20 @@ class TestSearchConstants:
         stage2 = coefficient_matrix(_family_with_pairs(8, [(Fraction(3, 7), Fraction(-5, 11))]), 8)
         assert stage2.rows == 20
         assert _has_zero_maximal_minor(stage2)
+
+    @pytest.mark.parametrize("bound", [10, 37])
+    def test_value_pool_is_in_fraction_order(self, bound):
+        """The integer sort key gives the order of sorted() on the values,
+        which the seeded draws index into."""
+        values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+        assert _value_pool(bound, ()) == sorted(values)
+        fixed = (Fraction(0), Fraction(1))
+        assert _value_pool(bound, fixed) == sorted(values - set(fixed))
+
+    def test_large_bound_draws_the_pinned_pair(self):
+        res = search_constants(4, bound=300)
+        assert res.constants.pairs[1] == (Fraction(-30, 191), Fraction(206, 77))
+        assert res.attempts == 1
 
     def test_search_beyond_the_exhaustive_budget_is_refused(self):
         with pytest.raises(ScanBudgetError, match="30260340"):
