@@ -39,7 +39,7 @@ from .surface import (
     extended_family,
     hyperplane_coefficients,
     search_constants,
-    verify_extended_general_position,
+    verify_extended_general_position,  # unused; perfbench/tracer.py wraps it here by name
 )
 from .three_section import (
     build_three_section,
@@ -291,7 +291,7 @@ def _cmd_extend(args) -> tuple[str, bool]:
         seed=args.seed,
         retry_limit=args.retry_limit,
     )
-    report = verify_extended_general_position(m, result.constants)
+    report = result.report  # the accepted last-stage walk, over the whole family
     data = hyperplane_coefficients(m, result.constants)
     disc = data.h[0].disc
     square_sum = ExtPolynomial.zero(disc)

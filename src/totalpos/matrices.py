@@ -33,9 +33,9 @@ complement of the basis positions I occupies.  So the maximal minors of
 M are, up to the factor |det B| and the row scales, exactly the minors
 of C, the all-basis subset being the empty minor.  When the reduction
 finds fewer pivots than columns, every maximal minor is 0 and no
-determinant is taken.  Whether any maximal minor is 0 is the same walk
-over C, descending no further after its first zero minor
-(_has_zero_maximal_minor).
+determinant is taken.  The constant search decides each candidate by
+the same walk over C, descending no further after its first zero minor:
+a stopped walk is a rejection, and a finished one gives the report.
 Sampled scans take one determinant of C per subset; from 4096 subsets
 up they spread over one worker process per CPU.  The per-subset
 determinant of M[I] is the test oracle.
@@ -458,15 +458,16 @@ class _BasisContext:
         return _bareiss_det(sub), scale
 
 
-def _walk_scan(ctx: _BasisContext):
+def _walk_scan(ctx: _BasisContext, stop_at_zero: bool = False):
     """Every minor of the coordinate matrix C, from one Laplace walk.
 
     The minor det C[K, J] stands for the row subset made of the basis
     rows at the positions outside J and the non-basis rows K; the empty
     minor, 1, is the all-basis subset.  A wide C is walked as its
     transpose, so a node is then a column set J and its minors run over
-    the row sets K.  Returns the same (failures, best (|det|, scale))
-    pair as _scan_chunk, with the failures in lexicographic order.
+    the row sets K.  Returns _scan_chunk's (failures, best (|det|, scale))
+    pair, failures in lexicographic order.  With stop_at_zero it descends
+    no further after the first zero minor and then returns None.
     """
     transposed = ctx.n_cols > len(ctx.coord)
     zeros: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (K, J)
@@ -487,9 +488,11 @@ def _walk_scan(ctx: _BasisContext):
             low = min(map(abs, minors))
         if low is not None and low * best[1] < best[0] * scale:
             best = (low, scale)
-        return True
+        return not (stop_at_zero and zeros)
 
     _laplace_walk(ctx.coord, visit)
+    if stop_at_zero and zeros:
+        return None
     expected = math.comb(ctx.n_rows, ctx.n_cols)
     if count != expected:
         raise AssertionError(f"minor walk visited {count} of {expected} subsets")
@@ -502,24 +505,6 @@ def _walk_scan(ctx: _BasisContext):
         failures.append(tuple(sorted(i + 1 for i in rows)))
     failures.sort()
     return failures, best
-
-
-def _has_zero_maximal_minor(matrix: ExactMatrix) -> bool:
-    """Whether some maximal minor of a matrix with rows >= cols is 0: one
-    Laplace walk over the coordinate matrix C that descends no further
-    once it has met a zero minor."""
-    ctx, _ = _build_context(matrix)
-    if ctx is None:
-        return True
-    found = False
-
-    def visit(node, subsets, minors, scale) -> bool:
-        nonlocal found
-        found = found or 0 in minors
-        return not found
-
-    _laplace_walk(ctx.coord, visit)
-    return found
 
 
 def _scan_chunk(payload):
@@ -635,7 +620,6 @@ def maximal_minor_scan(
     or the sampled ones) are listed as failures without taking a
     determinant.
     """
-    t0 = time.perf_counter()
     r, c = matrix.rows, matrix.cols
     if c < 1:
         raise ValueError("matrix must have at least one column")
@@ -650,8 +634,6 @@ def maximal_minor_scan(
                 f"exhaustive scan of {total} subsets exceeds the budget "
                 f"{exhaustive_limit}; use sampled mode"
             )
-        checked = total
-        ranks = None
     elif mode == "sampled":
         if seed is None or sample_count is None:
             raise ValueError("sampled mode requires seed and sample_count")
@@ -661,18 +643,33 @@ def maximal_minor_scan(
             raise ValueError(
                 f"sample_count {sample_count} exceeds the {total} subsets available"
             )
-        ranks = sorted(random.Random(seed).sample(range(total), sample_count))
-        checked = sample_count
     else:
         raise ValueError(f"unknown mode: {mode!r}")
+    return _scan_report(matrix, seed, sample_count)
 
+
+def _scan_report(matrix, seed=None, sample_count=None, *, stop_at_zero=False):
+    """maximal_minor_scan's report over every row subset (seed None) or
+    sample_count subsets drawn with seed; with stop_at_zero, the constant
+    search's decision, None when a maximal minor is 0 (the walk stops)."""
+    t0 = time.perf_counter()
+    r, c = matrix.rows, matrix.cols
+    total = math.comb(r, c)
+    ranks = None
+    if seed is not None:
+        ranks = sorted(random.Random(seed).sample(range(total), sample_count))
     ctx, abs_det_b = _build_context(matrix)
 
     if ctx is None:
+        if stop_at_zero:
+            return None
         zeros = [tuple(i + 1 for i in comb) for comb in _subsets(r, c, ranks)]
         parts = [(zeros, None)]
     elif ranks is None:
-        parts = [_walk_scan(ctx)]
+        walked = _walk_scan(ctx, stop_at_zero)
+        if walked is None:
+            return None
+        parts = [walked]
     else:
         parts = _per_subset_scan(ctx, ranks)
 
@@ -688,8 +685,8 @@ def maximal_minor_scan(
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return GeneralPositionReport(
         total_subsets=total,
-        checked_subsets=checked,
-        mode=mode,
+        checked_subsets=total if ranks is None else sample_count,
+        mode="exhaustive" if ranks is None else "sampled",
         failures=tuple(failures),
         min_abs_nonzero_det=min_abs,
         elapsed_ms=elapsed_ms,

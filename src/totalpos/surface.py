@@ -18,6 +18,7 @@ elimination over Q(i, sigma) is the Wronskian determinant.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .families import coefficient_matrix, family_polys
 from .matrices import (
     ExactMatrix,
     GeneralPositionReport,
-    _has_zero_maximal_minor,
+    _scan_report,
     determinant,
     maximal_minor_scan,
 )
@@ -365,34 +366,36 @@ def extended_family(m: int, constants: FamilyConstants) -> list[Polynomial]:
 def verify_extended_general_position(
     m: int, constants: FamilyConstants
 ) -> GeneralPositionReport:
-    """Scan every m-subset of the extended family's coefficient matrix."""
+    """Scan every m-subset of the extended family, for any given constants."""
     return maximal_minor_scan(coefficient_matrix(extended_family(m, constants), m))
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a constants search: the accepted pairs, the number of
-    candidate pairs examined, and every rejected candidate with the
-    stage (pair index j) and reason."""
+    """Outcome of a constants search: the accepted pairs, the candidates
+    examined, each rejected one with its stage (pair index j) and reason,
+    and the accepted last-stage walk's exhaustive report (None if partial)."""
 
     constants: FamilyConstants
     attempts: int
     rejected: tuple[tuple[int, tuple[Fraction, Fraction], str], ...]
+    report: Optional[GeneralPositionReport]
 
 
 def _value_pool(bound: int, exclude: Iterable[Fraction]) -> list[Fraction]:
     """Every p/q with |p| <= bound and 1 <= q <= bound, minus exclude, in
     ascending order.
 
-    The sort key is the value times lcm(1, ..., bound), an exact integer
-    for each of these denominators, so the order is that of the values
-    and the sort compares integers only.
+    Each value is built once, from its coprime (p, q), and sorts by the
+    exact integer key p * (lcm(1, ..., bound) / q), so the order is that
+    of the values and neither hashing nor sorting touches a Fraction.
     """
     scale = math.lcm(*range(1, bound + 1))
-    values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
-    return sorted(
-        values - set(exclude), key=lambda v: v.numerator * (scale // v.denominator)
-    )
+    skip = {(v.numerator, v.denominator) for v in map(Fraction, exclude)}
+    span = range(-bound, bound + 1)
+    pairs = [(p, q) for q in range(1, bound + 1) for p in span if math.gcd(p, q) == 1]
+    pairs.sort(key=lambda pq: pq[0] * (scale // pq[1]))
+    return [Fraction(p, q) for p, q in pairs if (p, q) not in skip]
 
 
 def search_constants(
@@ -408,11 +411,11 @@ def search_constants(
 
     Pairs are fixed one stage at a time (pair j before pair j+1).  A
     candidate is accepted when no m-subset of the family built so far has
-    determinant 0, decided by one Laplace walk that descends no further
-    after the first zero minor; every decision is exhaustive.  The last
-    stage scans all C(m(m+1)/2, m) subsets, so ScanBudgetError is raised
-    before any candidate is tried when that count exceeds
-    exhaustive_limit.
+    determinant 0, decided by maximal_minor_scan's walk descending no
+    further after the first zero minor; every decision is exhaustive.  The
+    last stage walks all C(m(m+1)/2, m) subsets, so ScanBudgetError is
+    raised before any candidate is tried when that count exceeds
+    exhaustive_limit, and its accepted walk is SearchResult.report.
     One candidate stream serves every stage: the forced `candidates`
     first (useful to force or to test specific pairs), then seeded
     random pairs of distinct values from {p/q : |p| <= bound,
@@ -441,12 +444,8 @@ def search_constants(
     fresh = _value_pool(bound, fixed[0])
     rng = random.Random(seed)
 
-    def result() -> SearchResult:
-        return SearchResult(
-            constants=FamilyConstants(tuple(fixed)),
-            attempts=attempts,
-            rejected=tuple(rejected),
-        )
+    def result(report=None) -> SearchResult:
+        return SearchResult(FamilyConstants(tuple(fixed)), attempts, tuple(rejected), report)
 
     while len(fixed) < t:
         if attempts >= retry_limit:
@@ -471,12 +470,15 @@ def search_constants(
             continue
         # The family truncated to the pairs fixed so far.
         matrix = coefficient_matrix(_family_with_pairs(m, fixed[1:] + [(a, b)]), m)
-        if _has_zero_maximal_minor(matrix):
+        if (report := _scan_report(matrix, stop_at_zero=True)) is None:
             rejected.append((j, (a, b), "singular-subset"))
             continue
         fixed.append((a, b))
-        fresh = [v for v in fresh if v not in (a, b)]
-    return result()
+        for v in (a, b):
+            i = bisect.bisect_left(fresh, v)
+            if i < len(fresh) and fresh[i] == v:
+                del fresh[i]
+    return result(report)
 
 
 def _ext_determinant(rows: list[list[ExtScalar]], disc: int) -> ExtScalar:

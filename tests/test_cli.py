@@ -205,6 +205,22 @@ class TestExtend:
         assert checks["reconstruction_exact"] is False
         assert checks["sum_h_squares_zero"] is True
 
+    def test_final_family_is_walked_once(self, capsys, monkeypatch):
+        """The general-position report is the search's accepted last walk;
+        extend scans the final family no second time."""
+
+        def second_scan(*args, **kwargs):
+            raise AssertionError("extend scanned the final family again")
+
+        monkeypatch.setattr("totalpos.cli.verify_extended_general_position", second_scan)
+        monkeypatch.setattr("totalpos.surface.maximal_minor_scan", second_scan)
+        code, cert = run_json(capsys, ["extend", "--m", "6", "--seed", "1"])
+        assert code == 0
+        report = next(c for c in cert["checks"] if c["name"] == "general_position")["report"]
+        assert report["checked_subsets"] == report["total_subsets"] == 54264
+        assert report["mode"] == "exhaustive"
+        assert report["failures"] == []
+
     def test_m8_is_over_the_exhaustive_budget(self, capsys):
         code, payload = run_json(capsys, ["extend", "--m", "8"])
         assert code == 2

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -40,10 +41,10 @@ from totalpos import (
 import totalpos
 from totalpos.matrices import (
     _bareiss_det,
-    _has_zero_maximal_minor,
     _laplace_kernel,
     _laplace_walk,
     _minor_count,
+    _scan_report,
 )
 
 
@@ -565,7 +566,8 @@ class TestMaximalMinorScan:
     def test_direct_and_reduced_engines_agree(self, build, expected_failures):
         """Exhaustive and sampled scans against one determinant of M[I] per
         row subset (failures, min |det| and checked count), and the
-        early-exit predicate against any zero among them."""
+        constant search's early-exit decision: a rejection exactly when
+        some minor is 0, else the exhaustive report."""
         failures = 0
         rng = random.Random(20261018)
         for M in build():
@@ -582,7 +584,11 @@ class TestMaximalMinorScan:
                 rep = maximal_minor_scan(M, **kwargs)
                 assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == expected
                 assert rep.total_subsets == total
-            assert _has_zero_maximal_minor(M) == any(d == 0 for _, d in minors)
+            decided = _scan_report(M, stop_at_zero=True)
+            assert (decided is None) == any(d == 0 for _, d in minors)
+            if decided is not None:
+                full = maximal_minor_scan(M)
+                assert replace(decided, elapsed_ms=0) == replace(full, elapsed_ms=0)
             failures += len(oracle_report(minors)[0])
         if expected_failures is None:
             assert failures > 100

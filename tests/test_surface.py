@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,15 @@ from totalpos import (
     weierstrass_h,
     wronskian,
 )
-from totalpos.matrices import _has_zero_maximal_minor
 from totalpos.surface import _family_with_pairs, _value_pool
 
 
 quads = st.tuples(*[st.fractions(max_denominator=6)] * 4)
+
+
+def same_report(a, b):
+    """Equal in every field except elapsed_ms."""
+    return replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
 
 
 def scalar(q, disc=2):
@@ -223,6 +228,8 @@ class TestSearchConstants:
         rep = verify_extended_general_position(4, res.constants)
         assert rep.ok
         assert rep.total_subsets == 210
+        # The search hands over the report of its accepted last walk.
+        assert same_report(res.report, rep)
 
     def test_rejections_carry_stage_and_reason(self):
         # Seed 3 rejects candidates at both stages of m = 6.
@@ -240,7 +247,9 @@ class TestSearchConstants:
         assert all(reason == "singular-subset" for _, _, reason in res.rejected)
         values = res.constants.values
         assert len(values) == len(set(values)) == 6
-        assert verify_extended_general_position(6, res.constants).ok
+        rep = verify_extended_general_position(6, res.constants)
+        assert rep.ok
+        assert same_report(res.report, rep)
 
     def test_running_out_of_fresh_values_is_exhaustion(self):
         # bound 1 leaves only -1 besides the fixed 0 and 1.
@@ -248,6 +257,7 @@ class TestSearchConstants:
             search_constants(4, bound=1)
         assert info.value.partial.attempts == 0
         assert info.value.partial.rejected == ()
+        assert info.value.partial.report is None
 
     @pytest.mark.parametrize("kwargs", [{"bound": 0}, {"retry_limit": 0}, {"retry_limit": -3}])
     def test_nonpositive_bound_or_retry_limit_is_refused(self, kwargs):
@@ -271,6 +281,14 @@ class TestSearchConstants:
         assert info.value.partial.attempts == 2
         assert [r[1] for r in info.value.partial.rejected] == singular
         assert {r[2] for r in info.value.partial.rejected} == {"singular-subset"}
+        assert info.value.partial.report is None
+
+    def test_partial_result_after_an_accepted_stage_has_no_report(self):
+        # Seed 0 accepts its first m=6 candidate at stage 2, then runs out.
+        with pytest.raises(SearchExhaustedError, match="within 1 candidates") as info:
+            search_constants(6, retry_limit=1)
+        assert len(info.value.partial.constants.pairs) == 2
+        assert info.value.partial.report is None
 
     def test_sampled_stage_counterexample_is_singular(self):
         # A search that sampled its stages once accepted these m=8 pairs.
@@ -281,7 +299,12 @@ class TestSearchConstants:
         # The pair (3/7, -5/11) already fails at stage 2, on 20 rows.
         stage2 = coefficient_matrix(_family_with_pairs(8, [(Fraction(3, 7), Fraction(-5, 11))]), 8)
         assert stage2.rows == 20
-        assert _has_zero_maximal_minor(stage2)
+        with pytest.raises(SearchExhaustedError) as info:
+            search_constants(
+                8, retry_limit=1, candidates=pairs[2:], exhaustive_limit=math.comb(36, 8)
+            )
+        assert info.value.partial.rejected == ((2, pairs[2], "singular-subset"),)
+        assert info.value.partial.report is None
 
     @pytest.mark.parametrize("bound", [10, 37])
     def test_value_pool_is_in_fraction_order(self, bound):
