@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class ScanBudgetError(RuntimeError):
-    """A minor scan would exceed its configured size guard."""
+    """A minor scan would exceed its configured size guard, or the largest
+    subset count that sampled mode can draw from."""
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -36,9 +36,12 @@ finds fewer pivots than columns, every maximal minor is 0 and no
 determinant is taken.  The constant search decides each candidate by
 the same walk over C, descending no further after its first zero minor:
 a stopped walk is a rejection, and a finished one gives the report.
-Sampled scans take one determinant of C per subset; from 4096 subsets
-up they spread over one worker process per CPU.  The per-subset
-determinant of M[I] is the test oracle.
+Sampled scans decode their sorted ranks by shared prefixes
+(_decode_ranks) and take one determinant of C per subset, from a
+generated straight-line Bareiss kernel per size (_bareiss_kernel) that
+gathers its own entries; from 4096 subsets up they spread over one
+worker process per CPU.  The per-subset determinant of M[I] is the test
+oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import multiprocessing
 import operator
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,6 +175,47 @@ def _bareiss_det(rows: list[list[int]]) -> int:
                 ai[j] = (ai[j] * pkk - aik * ak[j]) // prev
         prev = pkk
     return sign * a[n - 1][n - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _bareiss_kernel(k: int) -> Callable:
+    """_bareiss_det's elimination of a k x k matrix without row exchanges,
+    as one straight-line function det(rows, cols).
+
+    det takes integer rows and k column indices and unpacks the entries
+    rows[i][cols[j]] into locals, so the gather runs inside it.  It then
+    makes the loop's exact integer updates in order and returns the same
+    determinant, or None at the first zero pivot, where the loop would
+    exchange rows; the caller then falls back to _bareiss_det.  Kernels
+    are compiled on first use and kept for the life of the process, like
+    _laplace_kernel; the source grows as k^3.
+    """
+    lines = ["def det(rows, cols):"]
+    if k == 0:
+        lines.append("    return 1")
+    else:
+        cols = "".join(f"c{j}, " for j in range(k))
+        lines.append(f"    {cols}= cols")
+        for i in range(k):
+            entries = ", ".join(f"r[c{j}]" for j in range(k))
+            lines.append(f"    r = rows[{i}]")
+            lines.append(f"    {''.join(f'a{i}_{j}, ' for j in range(k))}= {entries},")
+        if k == 2:
+            lines.append("    return a0_0 * a1_1 - a0_1 * a1_0")
+        elif k > 2:
+            for p in range(k - 1):
+                lines.append(f"    if not a{p}_{p}:")
+                lines.append("        return None")
+                div = f" // a{p - 1}_{p - 1}" if p else ""
+                for i in range(p + 1, k):
+                    for j in range(p + 1, k):
+                        lines.append(
+                            f"    a{i}_{j} = (a{i}_{j} * a{p}_{p} - a{i}_{p} * a{p}_{j}){div}"
+                        )
+        lines.append(f"    return a{k - 1}_{k - 1}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<bareiss kernel {k}>", "exec"), namespace)
+    return namespace["det"]
 
 
 def determinant(matrix: ExactMatrix) -> Fraction:
@@ -402,29 +447,45 @@ class GeneralPositionReport:
         return out
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> list[int]:
-    """Lexicographic unrank of a k-subset of range(n)."""
-    out = []
-    c = 0
-    r = rank
-    for pos in range(k):
-        while True:
-            rem = math.comb(n - c - 1, k - pos - 1)
-            if r < rem:
-                out.append(c)
+def _decode_ranks(n: int, k: int, ranks: Iterable[int]) -> Iterable[tuple[int, ...]]:
+    """The k-subsets of range(n) of the given ascending lexicographic
+    ranks, in that order, decoded by their shared prefixes.
+
+    The subsets that share the first p + 1 elements of the current one
+    form a block of consecutive ranks of size C(n - 1 - comb[p], k - 1 - p)
+    (the combinatorial number system), ending before end[p].  For each
+    rank the decoder keeps the positions up to the deepest block that
+    still contains it and re-decodes only the positions after that one:
+    the first of them moves on from its old block, and each one after it
+    starts at its parent's first block.  Sampled ranks lie a few hundred
+    apart, so mostly only the last few positions change.
+    """
+    binom = [[math.comb(a, b) for b in range(k)] for a in range(n)]
+    comb = [-1] * k
+    end = [0] * k  # no block holds a rank yet, so position 0 starts at 0
+    for rank in ranks:
+        q = k
+        while q and rank >= end[q - 1]:
+            q -= 1
+        if q < k:
+            c, base = comb[q] + 1, end[q]
+            for p in range(q, k):
+                size = binom[n - 1 - c][k - 1 - p]
+                while rank >= base + size:
+                    base += size
+                    c += 1
+                    size = binom[n - 1 - c][k - 1 - p]
+                comb[p], end[p] = c, base + size
                 c += 1
-                break
-            r -= rem
-            c += 1
-    return out
+        yield tuple(comb)
 
 
 def _subsets(n: int, k: int, ranks: Optional[Sequence[int]]) -> Iterable[Sequence[int]]:
     """The k-subsets of range(n): all in lexicographic order when ranks is
-    None, else those of the given lexicographic ranks, in that order."""
+    None, else those of the given ascending lexicographic ranks."""
     if ranks is None:
         return combinations(range(n), k)
-    return (_unrank_combination(rank, n, k) for rank in ranks)
+    return _decode_ranks(n, k, ranks)
 
 
 @dataclass(frozen=True)
@@ -438,24 +499,6 @@ class _BasisContext:
     coord: tuple[tuple[Fraction, ...], ...]  # C, one row per non-basis row
     coord_rows: tuple[tuple[int, ...], ...]  # C, integer-lifted per row
     coord_scales: tuple[int, ...]
-
-    def det_parts(self, subset: Sequence[int]) -> tuple[int, int]:
-        k_rows = []
-        used = []
-        for i in subset:
-            p = self.basis_pos[i]
-            if p >= 0:
-                used.append(p)
-            else:
-                k_rows.append(self.coord_pos[i])
-        if not k_rows:
-            return 1, 1
-        free = sorted(set(range(self.n_cols)) - set(used))
-        sub = [[self.coord_rows[r][j] for j in free] for r in k_rows]
-        scale = 1
-        for r in k_rows:
-            scale *= self.coord_scales[r]
-        return _bareiss_det(sub), scale
 
 
 def _walk_scan(ctx: _BasisContext, stop_at_zero: bool = False):
@@ -509,12 +552,39 @@ def _walk_scan(ctx: _BasisContext, stop_at_zero: bool = False):
 
 def _scan_chunk(payload):
     """(failures, best (|det|, scale)) over the subsets of the given
-    lexicographic ranks, one determinant each."""
+    ascending lexicographic ranks, one determinant each.
+
+    Walking a subset sorts its rows into basis rows, whose positions leave
+    the free columns of C, and non-basis rows, whose integer rows of C
+    and scales are gathered; |det M[I]| is |det B| times |det C[K, free]|
+    over the product of the scales.  The determinant is the generated
+    kernel for its size (_bareiss_kernel), or _bareiss_det when a pivot
+    is 0.
+    """
     ctx, ranks = payload
+    n_cols = ctx.n_cols
+    # Per row of M: its basis position, or its integer row of C and scale.
+    kinds = [
+        (p, None, 1) if p >= 0 else (-1, ctx.coord_rows[r], ctx.coord_scales[r])
+        for p, r in zip(ctx.basis_pos, ctx.coord_pos)
+    ]
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None  # (|det| numerator part, scale part)
-    for comb in _subsets(ctx.n_rows, ctx.n_cols, ranks):
-        d, scale = ctx.det_parts(comb)
+    for comb in _subsets(ctx.n_rows, n_cols, ranks):
+        rows = []
+        free = list(range(n_cols))
+        scale = 1
+        for i in comb:
+            p, row, row_scale = kinds[i]
+            if row is None:
+                free[p] = -1
+            else:
+                rows.append(row)
+                scale *= row_scale
+        free = [j for j in free if j >= 0]
+        d = _bareiss_kernel(len(rows))(rows, free)
+        if d is None:
+            d = _bareiss_det([[row[j] for j in free] for row in rows])
         if d == 0:
             failures.append(tuple(i + 1 for i in comb))
         else:
@@ -612,9 +682,11 @@ def maximal_minor_scan(
     (_walk_scan) yields every maximal minor in one process, failures in
     lexicographic order; a square matrix has an empty C, and its one
     subset's |det| is |det B|.  Sampled mode draws sample_count distinct
-    subsets with the given seed and takes one determinant per subset in
-    rank order, spread over one worker process per CPU from 4096 subsets
-    up.  The report is identical for any worker count.
+    subsets with the given seed and takes one determinant of C per subset
+    in rank order (_scan_chunk), spread over one worker process per CPU
+    from 4096 subsets up.  The report is identical for any worker count.
+    The draw needs C(rows, cols) <= sys.maxsize; above it (the family's
+    matrix from m = 50 on) sampled mode raises ScanBudgetError.
 
     Below full column rank every maximal minor is 0, so the subsets (all,
     or the sampled ones) are listed as failures without taking a
@@ -639,6 +711,11 @@ def maximal_minor_scan(
             raise ValueError("sampled mode requires seed and sample_count")
         if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        if total > sys.maxsize:
+            raise ScanBudgetError(
+                f"sampled scan draws from at most sys.maxsize = {sys.maxsize} "
+                f"subsets, and this matrix has C({r}, {c}) = {total}"
+            )
         if sample_count > total:
             raise ValueError(
                 f"sample_count {sample_count} exceeds the {total} subsets available"
@@ -650,8 +727,15 @@ def maximal_minor_scan(
 
 def _scan_report(matrix, seed=None, sample_count=None, *, stop_at_zero=False):
     """maximal_minor_scan's report over every row subset (seed None) or
-    sample_count subsets drawn with seed; with stop_at_zero, the constant
-    search's decision, None when a maximal minor is 0 (the walk stops)."""
+    sample_count subsets drawn with seed (arguments already checked by
+    maximal_minor_scan); with stop_at_zero, the constant search's
+    decision, None when a maximal minor is 0 (the walk stops).
+
+    Exhaustive reports come from the Laplace walk over C (_walk_scan).
+    Sampled ranks are drawn by random.sample, sorted, and decoded by
+    shared prefixes; each drawn subset takes one generated-kernel
+    determinant (_scan_chunk).
+    """
     t0 = time.perf_counter()
     r, c = matrix.rows, matrix.cols
     total = math.comb(r, c)

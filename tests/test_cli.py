@@ -88,6 +88,19 @@ class TestVerify:
         assert code == 2
         assert "exceeds the 15 subsets" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--m", "50", "--mode", "sampled", "--seed", "1"], ["bench", "--m-list", "50"]],
+        ids=["verify", "bench"],
+    )
+    def test_sampled_draw_past_sys_maxsize_is_a_usage_error(self, capsys, command):
+        """C(75, 50) > sys.maxsize, the most subsets random.sample draws
+        from; the limit is named in a JSON error, not a traceback."""
+        code, payload = run_json(capsys, command)
+        assert code == 2
+        assert "sys.maxsize" in payload["error"]
+        assert "C(75, 50)" in payload["error"]
+
     @pytest.mark.parametrize("command", [["verify", "--m", "4"], ["bench", "--m-list", "2"]])
     def test_threads_flag_is_gone(self, capsys, command):
         with pytest.raises(SystemExit) as info:

@@ -39,8 +39,11 @@ from totalpos import (
     verify_extended_general_position,
 )
 import totalpos
+import totalpos.matrices
 from totalpos.matrices import (
     _bareiss_det,
+    _bareiss_kernel,
+    _decode_ranks,
     _laplace_kernel,
     _laplace_walk,
     _minor_count,
@@ -62,6 +65,30 @@ def cofactor_determinant(rows):
         rest = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * cofactor_determinant(rest)
     return total
+
+
+def unrank_combination(rank, n, k):
+    """Independent oracle: the k-subset of range(n) of one lexicographic
+    rank, decoded from scratch."""
+    out = []
+    c = 0
+    r = rank
+    for pos in range(k):
+        while True:
+            rem = math.comb(n - c - 1, k - pos - 1)
+            if r < rem:
+                out.append(c)
+                c += 1
+                break
+            r -= rem
+            c += 1
+    return tuple(out)
+
+
+def leading_minors_vanish(rows):
+    """Whether a leading principal minor of size 1 .. k-1 is 0: exactly
+    when Bareiss elimination without row exchanges meets a zero pivot."""
+    return any(_bareiss_det([row[:s] for row in rows[:s]]) == 0 for s in range(1, len(rows)))
 
 
 def total_scan_oracle(matrix, strict):
@@ -480,8 +507,9 @@ class TestLaplaceKernels:
     def test_import_builds_no_kernel(self):
         code = (
             "import totalpos, totalpos.cli\n"
-            "from totalpos.matrices import _laplace_kernel\n"
-            "print(_laplace_kernel.cache_info().currsize)\n"
+            "from totalpos.matrices import _bareiss_kernel, _laplace_kernel\n"
+            "print(_laplace_kernel.cache_info().currsize,"
+            " _bareiss_kernel.cache_info().currsize)\n"
         )
         src = os.path.dirname(os.path.dirname(totalpos.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -491,7 +519,7 @@ class TestLaplaceKernels:
             capture_output=True, text=True, timeout=60,
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "0"
+        assert child.stdout.split() == ["0", "0"]
 
     def test_width_eleven_compiles_quickly_and_expands_exactly(self):
         """11 x 11 is the widest square shape the default 10^6 guard of the
@@ -518,6 +546,137 @@ class TestLaplaceKernels:
         for record in path:
             check_walk_record(M, record)
         assert path[-1][2] != [0]  # det M, nonzero for this seed
+
+
+@st.composite
+def gathered_squares(draw, entries=st.integers(-10**6, 10**6)):
+    """(rows, cols, sub): k integer rows, k in 1..12, up to three columns
+    wider than k, the k sorted column indices a kernel gathers, and the
+    gathered k x k matrix."""
+    k = draw(st.integers(1, 12))
+    width = k + draw(st.integers(0, 3))
+    rows = [[draw(entries) for _ in range(width)] for _ in range(k)]
+    cols = sorted(draw(st.permutations(range(width)))[:k])
+    return rows, cols, [[row[j] for j in cols] for row in rows]
+
+
+class TestBareissKernels:
+    @settings(max_examples=150)
+    @given(gathered_squares())
+    def test_kernel_matches_the_elimination_loop(self, square):
+        """Every determinant equals the loop's; None comes exactly at a
+        zero pivot, which random signed entries almost never give."""
+        rows, cols, sub = square
+        got = _bareiss_kernel(len(sub))(rows, cols)
+        if got is None:
+            assert len(sub) > 2 and leading_minors_vanish(sub)
+        else:
+            assert got == _bareiss_det(sub)
+
+    @settings(max_examples=100)
+    @given(gathered_squares(st.integers(-3, 3)), st.data())
+    def test_singular_matrices_give_zero_or_fall_back(self, square, data):
+        """A row that is a sum of multiples of the others makes the matrix
+        singular: the kernel returns 0, or None at a zero pivot, and the
+        loop then returns 0."""
+        rows, cols, sub = square
+        k = len(sub)
+        weights = [data.draw(st.integers(-2, 2)) for _ in range(k - 1)]
+        target = data.draw(st.integers(0, k - 1))
+        others = [row for i, row in enumerate(rows) if i != target]
+        rows[target] = [sum(w * row[j] for w, row in zip(weights, others))
+                        for j in range(len(rows[0]))]
+        sub = [[row[j] for j in cols] for row in rows]
+        got = _bareiss_kernel(k)(rows, cols)
+        assert got in (0, None)
+        assert _bareiss_det(sub) == 0
+        assert (got is None) == (k > 2 and leading_minors_vanish(sub))
+
+    @settings(max_examples=100)
+    @given(st.integers(3, 12), st.data())
+    def test_zero_leading_entry_falls_back(self, k, data):
+        """A zero (1, 1) entry is a zero first pivot: the kernel gives None
+        even when the determinant is not 0, and the loop's row exchange
+        finds it.  The anti-diagonal with nonzero entries is one such
+        matrix, with determinant +-(product of its entries)."""
+        values = data.draw(st.lists(st.integers(-50, 50).filter(bool), min_size=k, max_size=k))
+        anti = [[values[i] if i + j == k - 1 else 0 for j in range(k)] for i in range(k)]
+        assert _bareiss_kernel(k)(anti, list(range(k))) is None
+        sign = (-1) ** (k * (k - 1) // 2)
+        assert _bareiss_det(anti) == sign * math.prod(values)
+        rows = data.draw(st.lists(st.integers(-9, 9), min_size=k * k, max_size=k * k))
+        rows = [[0] + rows[1:k]] + [rows[i * k:(i + 1) * k] for i in range(1, k)]
+        assert _bareiss_kernel(k)(rows, list(range(k))) is None
+        if k <= 5:
+            assert _bareiss_det(rows) == cofactor_determinant(rows)
+
+    def test_small_kernels_have_no_pivot_test(self):
+        """Sizes 0, 1 and 2 are the loop's own closed forms: 1, the entry
+        and the cross product, zero or not."""
+        assert _bareiss_kernel(0)([], []) == 1
+        assert _bareiss_kernel(1)([[5, 0, 7]], [1]) == 0
+        assert _bareiss_kernel(2)([[0, 1], [2, 3]], [0, 1]) == -2
+
+    def test_scan_falls_back_at_zero_pivots(self, monkeypatch):
+        """M = [I; C] with C anti-diagonal: C's full minor and others have a
+        zero first pivot, so the sampled scan calls the loop for them and
+        still matches one determinant of M[I] per subset."""
+        k = 4
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+        rows += [[i + 1 if i + j == k - 1 else 0 for j in range(k)] for i in range(k)]
+        M = ExactMatrix.from_rows(rows)
+        calls = []
+        loop = totalpos.matrices._bareiss_det
+
+        def spy(sub):
+            calls.append(len(sub))
+            return loop(sub)
+
+        monkeypatch.setattr(totalpos.matrices, "_bareiss_det", spy)
+        total = math.comb(2 * k, k)
+        rep = maximal_minor_scan(M, mode="sampled", seed=1, sample_count=total)
+        assert calls and max(calls) == k
+        expected = oracle_report(direct_minors(M))
+        assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == expected
+
+    def test_kernels_are_compiled_once_per_size(self):
+        _bareiss_kernel.cache_clear()
+        first = _bareiss_kernel(7)
+        assert _bareiss_kernel(7) is first
+        info = _bareiss_kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+class TestDecodeRanks:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_every_rank_in_order_is_lex_order(self, n):
+        """All ranks, consecutive from 0 to total - 1, for every k in 0..n
+        (k = 1 and k = n included)."""
+        for k in range(n + 1):
+            total = math.comb(n, k)
+            assert list(_decode_ranks(n, k, range(total))) == list(combinations(range(n), k))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (5, 5), (9, 4), (30, 20), (75, 50)])
+    def test_single_ranks(self, n, k):
+        """One rank at a time: the first, the last and a few between."""
+        total = math.comb(n, k)
+        for rank in {0, 1 % total, total // 3, total // 2, total - 2 if total > 1 else 0, total - 1}:
+            assert list(_decode_ranks(n, k, [rank])) == [unrank_combination(rank, n, k)]
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))), st.data())
+    def test_sorted_ranks_match_one_at_a_time_decoding(self, shape, data):
+        n, k = shape
+        total = math.comb(n, k)
+        ranks = sorted(data.draw(st.sets(st.integers(0, total - 1), min_size=1, max_size=60)))
+        assert list(_decode_ranks(n, k, ranks)) == [unrank_combination(r, n, k) for r in ranks]
+
+    def test_sampled_ranks_of_the_m20_family(self):
+        """The draw of the sampled m = 20 scan: C(30, 20) subsets, about 300
+        ranks apart, plus both ends."""
+        total = math.comb(30, 20)
+        ranks = sorted(set(random.Random(1).sample(range(total), 3000)) | {0, total - 1})
+        assert list(_decode_ranks(30, 20, ranks)) == [unrank_combination(r, 30, 20) for r in ranks]
 
 
 @pytest.fixture
@@ -686,6 +845,17 @@ class TestMaximalMinorScan:
             maximal_minor_scan(M, mode="exhaustive", seed=3)
         with pytest.raises(ValueError):
             maximal_minor_scan(M, mode="guess")
+
+    def test_sampled_draw_past_sys_maxsize_is_refused(self):
+        """random.sample draws from at most sys.maxsize items, and C(75, 50)
+        is more: the scan raises ScanBudgetError naming the limit before
+        any reduction."""
+        M = ExactMatrix.from_rows([[0] * 50] * 75)
+        assert math.comb(75, 50) > sys.maxsize
+        with pytest.raises(ScanBudgetError, match=r"sys\.maxsize.*C\(75, 50\)"):
+            maximal_minor_scan(M, mode="sampled", seed=1, sample_count=1)
+        with pytest.raises(ScanBudgetError, match=r"C\(75, 50\)"):
+            general_position(50, mode="sampled", seed=1, sample_count=10)
 
     def test_exhaustive_limit_guard(self):
         M = coefficient_matrix(family_polys(8), 8)
