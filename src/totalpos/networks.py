@@ -7,10 +7,17 @@ separately as the small-instance oracle for the determinant =
 disjoint-collection-sum identity, which this module guarantees only for
 the built-in constructions (the three-section network and the grid).
 
+Both run on an integer lift of the network (_integer_lift): each edge
+weight is scaled by the denominators of the columns it spans, so every
+path between two columns is scaled by the same integer and a sum of path
+weights is one integer sum divided once.
+
 Positive path collections are routed greedily, pair by pair in boundary
 order, each along the lowest positive path that avoids the earlier ones,
 over a positive-edge adjacency built once per sink and pruned to the
-heads that can still reach it.  In the built-in constructions every
+heads that can still reach it.  A pair's route depends only on the pairs
+before it, so each query resumes after the pairs it shares with the
+previous query on the same network.  In the built-in constructions every
 edge joins adjacent columns, no two edges of one slot cross and both
 boundaries are ordered by level, so disjoint paths cannot cross and
 greedy routing finds a collection whenever one exists; on any network,
@@ -20,9 +27,10 @@ a collection it returns is genuine.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EnumerationBudgetError, NetworkFormatError
 from .matrices import ExactMatrix, MinorQuery
@@ -57,7 +65,7 @@ def _as_vertex(v) -> Vertex:
 class PlanarNetwork:
     """Immutable weighted DAG with ordered source and sink boundaries."""
 
-    __slots__ = ("vertices", "edges", "sources", "sinks", "_adj", "_routes")
+    __slots__ = ("vertices", "edges", "sources", "sinks", "_adj", "_routes", "_trail")
 
     def __init__(self, vertices, edges, sources, sinks):
         vset = {_as_vertex(v) for v in vertices}
@@ -74,6 +82,11 @@ class PlanarNetwork:
             if (tail, head) in seen:
                 raise ValueError(f"duplicate edge: {tail} -> {head}")
             seen.add((tail, head))
+            if isinstance(w, (bool, float, complex)):
+                raise ValueError(
+                    f"edge weight must be an exact rational, got "
+                    f"{type(w).__name__} {w!r}: {tail} -> {head}"
+                )
             norm_edges.append((tail, head, Fraction(w)))
         src = tuple(_as_vertex(v) for v in sources)
         snk = tuple(_as_vertex(v) for v in sinks)
@@ -93,6 +106,7 @@ class PlanarNetwork:
             adj.setdefault(tail, []).append((head, w))
         object.__setattr__(self, "_adj", {k: tuple(v) for k, v in adj.items()})
         object.__setattr__(self, "_routes", None)
+        object.__setattr__(self, "_trail", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarNetwork is immutable")
@@ -110,7 +124,8 @@ class PlanarNetwork:
         only heads from which a positive path reaches the sink; it is None
         when no positive path leads from vertex k to the sink.  The index
         is built once per network and each table once per sink; both are
-        kept.
+        kept.  Next to them, self._trail holds one _Routed state per pair
+        routed by the last positive-collection query.
         """
         if self._routes is None:
             index = {v: k for k, v in enumerate(self.vertices)}
@@ -152,21 +167,73 @@ class PlanarNetwork:
         )
 
 
+def _integer_lift(net: PlanarNetwork) -> tuple[dict, list, list]:
+    """(index, adj, scale): the network with integer edge weights.
+
+    Column c gets the lcm of the denominators of the nonzero edges leaving
+    it, and scale[c] is the product of those lcms over the columns before
+    c.  An edge from column c1 to c2 of weight w then weighs the integer
+    w * scale[c2] / scale[c1], which holds for edges that skip columns and
+    for zero, negative or fractional weights alike; a path from u to v
+    weighs its true weight times scale[v] / scale[u].
+
+    Vertices are numbered by their position in net.vertices (index maps
+    a vertex to its number); adj[k] lists (head number, integer weight)
+    for the nonzero edges out of vertex k in adjacency order, and
+    scale[k] is the scale of vertex k's column.
+    """
+    index = {v: k for k, v in enumerate(net.vertices)}
+    nonzero = []
+    dens: dict[int, set[int]] = {}  # denominators above 1, by tail column
+    for tail, head, w in net.edges:
+        num = w.numerator
+        if num:
+            den = w.denominator
+            nonzero.append((tail, head, num, den))
+            if den != 1:
+                dens.setdefault(tail[0], set()).add(den)
+    col_scale = {}
+    acc = 1
+    for c in sorted({c for c, _ in net.vertices}):
+        col_scale[c] = acc
+        if c in dens:
+            acc *= math.lcm(*dens[c])
+    ratio: dict[tuple[int, int], int] = {}
+    adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
+    for tail, head, num, den in nonzero:
+        span = (tail[0], head[0])
+        r = ratio.get(span)
+        if r is None:
+            r = ratio[span] = col_scale[head[0]] // col_scale[tail[0]]
+        adj[index[tail]].append((index[head], num * (r // den)))
+    return index, adj, [col_scale[c] for c, _ in net.vertices]
+
+
 def weight_matrix(net: PlanarNetwork) -> ExactMatrix:
-    """Entry (i, j) is the weight sum over source-i -> sink-j paths."""
+    """Entry (i, j) is the weight sum over source-i -> sink-j paths.
+
+    One integer sweep per source over the lift, in vertex order (sorted by
+    column, and edges only go forward); each entry is divided once.
+    """
+    index, adj, scale = _integer_lift(net)
+    sinks = [index[t] for t in net.sinks]
+    stop = max(sinks) + 1
     zero = Fraction(0)
     rows = []
     for s in net.sources:
-        dp: dict[Vertex, Fraction] = {s: Fraction(1)}
-        for v in net.vertices:  # sorted by column, and edges only go forward
-            val = dp.get(v)
-            if not val:
-                continue
-            for head, w in net.adjacency.get(v, ()):
-                if w:
-                    dp[head] = dp.get(head, zero) + val * w
-        rows.append([dp.get(t, zero) for t in net.sinks])
-    return ExactMatrix.from_rows(rows)
+        a = index[s]
+        dp = [0] * len(adj)
+        dp[a] = 1
+        for v in range(a, stop):
+            val = dp[v]
+            if val:
+                for head, w in adj[v]:
+                    dp[head] += val * w
+        base = scale[a]
+        rows.append(
+            tuple(Fraction(dp[t], scale[t] // base) if dp[t] else zero for t in sinks)
+        )
+    return ExactMatrix(tuple(rows))
 
 
 def count_paths(net: PlanarNetwork, src: Vertex, dst: Vertex) -> int:
@@ -233,44 +300,65 @@ def lgv_oracle_minor(
     source to r-th selected sink, by brute-force enumeration.
 
     The product of per-pair path counts must stay within the budget.
+    Zero-weight edges contribute nothing to any collection and the lift
+    leaves them out, so the counts cover only paths that can matter.  The
+    enumeration multiplies lifted integer weights and divides the total
+    once by the pairs' scales.
     """
     pairs = _boundary_pairs(net, rows, cols)
-    # Zero-weight edges contribute nothing to any collection; prune them so
-    # the enumeration budget reflects paths that can actually matter.
-    pruned = PlanarNetwork(
-        net.vertices,
-        [(t, h, w) for (t, h, w) in net.edges if w != 0],
-        net.sources,
-        net.sinks,
-    )
+    index, adj, scale = _integer_lift(net)
+    ends = [(index[s], index[t]) for s, t in pairs]
+    counts = []  # per pair: number of paths from each vertex to its sink
     product = 1
-    for s, t in pairs:
-        product *= count_paths(pruned, s, t)
+    for a, b in ends:
+        to_sink = [0] * len(adj)
+        to_sink[b] = 1
+        for v in range(b - 1, a - 1, -1):
+            total = 0
+            for head, _ in adj[v]:
+                total += to_sink[head]
+            to_sink[v] = total
+        counts.append(to_sink)
+        product *= to_sink[a]
         if product > budget:
             raise EnumerationBudgetError(
                 f"path-count product exceeds enumeration budget {budget}"
             )
     if product == 0:
         return Fraction(0)
-    path_lists = [
-        [(frozenset(p), w) for p, w in iter_paths(pruned, s, t)] for s, t in pairs
-    ]
-    total = Fraction(0)
-    used: set[Vertex] = set()
 
-    def rec(r: int, weight: Fraction):
+    def paths(a: int, b: int, to_sink: list[int]) -> list[tuple[int, int]]:
+        """(vertex bitmask, lifted weight) of every path from a to b."""
+        out = []
+
+        def rec(v: int, mask: int, weight: int):
+            if v == b:
+                out.append((mask, weight))
+                return
+            for head, w in adj[v]:
+                if to_sink[head]:
+                    rec(head, mask | 1 << head, weight * w)
+
+        rec(a, 1 << a, 1)
+        return out
+
+    path_lists = [paths(a, b, to_sink) for (a, b), to_sink in zip(ends, counts)]
+    total = 0
+
+    def rec(r: int, used: int, weight: int):
         nonlocal total
         if r == len(path_lists):
             total += weight
             return
-        for pset, w in path_lists[r]:
-            if used.isdisjoint(pset):
-                used.update(pset)
-                rec(r + 1, weight * w)
-                used.difference_update(pset)
+        for mask, w in path_lists[r]:
+            if not used & mask:
+                rec(r + 1, used | mask, weight * w)
 
-    rec(0, Fraction(1))
-    return total
+    rec(0, 0, 1)
+    divisor = 1
+    for a, b in ends:
+        divisor *= scale[b] // scale[a]
+    return Fraction(total, divisor)
 
 
 @dataclass(frozen=True)
@@ -285,6 +373,20 @@ class PathCollection:
             "paths": [[[c, l] for (c, l) in p] for p in self.paths],
             "weight": format_rational(self.weight),
         }
+
+
+class _Routed(NamedTuple):
+    """Greedy routing state right after one pair of a query: the pair, the
+    search steps so far, the pair's path as vertex indices and as vertices,
+    and the collection weight so far as numerator and denominator.  The
+    vertices used so far are the indices of the states up to this one."""
+
+    pair: tuple[Vertex, Vertex]
+    steps: int
+    indices: tuple[int, ...]
+    path: tuple[Vertex, ...]
+    num: int
+    den: int
 
 
 def find_positive_collection(
@@ -305,52 +407,83 @@ def find_positive_collection(
     the path into it).  No pair is re-routed.  The weight is one product
     of numerators over one of denominators.
 
+    A pair's route depends only on the pairs before it, so the search
+    resumes after the longest run of leading pairs this query shares
+    with the previous query on the same network, from the state kept
+    after that run (steps included, so the budget binds as on a fresh
+    network).
+
     When every edge joins adjacent columns, no two edges of one slot
     cross and both boundaries are ordered by level (build_three_section
     and build_grid), disjoint paths cannot cross and the pointwise-lowest
     choice leaves the most room above it, so routing fails only when no
     collection exists.  On other networks a returned collection is still
-    genuine; only a missing one is inconclusive.  The budget caps visited
-    search states.
+    genuine; only a missing one is inconclusive.  The budget caps search
+    steps (a vertex pushed onto or popped off the path); it is checked
+    after each pair, and a query that needs more steps raises.
     """
     pairs = _boundary_pairs(net, rows, cols)
-    steps = 0
+    trail = net._trail
+    shared = 0
+    for state, pair in zip(trail, pairs):
+        if state.pair != pair:
+            break
+        shared += 1
+    # Kept as a new list, so that a query on another thread never sees this
+    # one cut the trail it is reading; appending keeps every prefix valid.
+    trail = trail[:shared]
+    object.__setattr__(net, "_trail", trail)
+    steps, num, den = 0, 1, 1
     used: set[int] = set()
-    out_paths: list[tuple[Vertex, ...]] = []
-    num = den = 1
-    for src_vertex, dst_vertex in pairs:
-        index, routes = net._routes_to(dst_vertex)
-        src, dst = index[src_vertex], index[dst_vertex]
+    for state in trail:
+        steps, num, den = state.steps, state.num, state.den
+        used.update(state.indices)
+    vertices = net.vertices
+    for pair in pairs[shared:]:
+        if steps > budget:
+            break
+        index, routes = net._routes_to(pair[1])
+        src, dst = index[pair[0]], index[pair[1]]
         if src in used or dst in used or routes[src] is None:
             return None
-        dead: set[int] = set()
+        # Vertices whose subtree failed join used until the pair is routed.
+        dead = []
         path = [src]
-        hops: list[tuple[int, int]] = []
+        hops = []
         stack = [iter(routes[src])]
         while path[-1] != dst:
-            steps += 1
-            if steps > budget:
-                raise EnumerationBudgetError(
-                    f"positive-collection search exceeded budget {budget}"
-                )
-            for head, a, b in stack[-1]:
-                if head not in used and head not in dead:
-                    path.append(head)
-                    hops.append((a, b))
-                    stack.append(iter(routes[head]))
+            for hop in stack[-1]:
+                if hop[0] not in used:
+                    path.append(hop[0])
+                    hops.append(hop)
+                    stack.append(iter(routes[hop[0]]))
                     break
             else:
                 stack.pop()
+                dead.append(path.pop())
                 if not stack:
-                    return None
-                dead.add(path.pop())
+                    break
+                used.add(dead[-1])
                 hops.pop()
+        # Each search step pushed or popped one vertex.
+        steps += len(path) - 1 + 2 * len(dead)
+        if not path:
+            if steps > budget:
+                break
+            return None
+        used.difference_update(dead)
         used.update(path)
-        out_paths.append(tuple(net.vertices[k] for k in path))
-        for a, b in hops:
+        for _, a, b in hops:
             num *= a
             den *= b
-    return PathCollection(tuple(out_paths), Fraction(num, den))
+        trail.append(
+            _Routed(pair, steps, tuple(path), tuple([vertices[k] for k in path]), num, den)
+        )
+    if steps > budget:
+        raise EnumerationBudgetError(
+            f"positive-collection search exceeded budget {budget}"
+        )
+    return PathCollection(tuple(state.path for state in trail), Fraction(num, den))
 
 
 def build_grid(grid_size: int, boundary_size: int) -> PlanarNetwork:

@@ -63,16 +63,21 @@ def saalschuetz_check(a: int, b: int, k: int) -> SaalschuetzCheck:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    lhs = Fraction(0)
-    for s in range(a + 1):
-        den1 = pochhammer(-a - b + 1, s)
-        den2 = pochhammer(-k - a - b + 2, s)
-        if den1 == 0 or den2 == 0:
+    # Term s is (1)_s (c)_s (-a)_s / ((d1)_s (d2)_s s!), and (1)_s = s!, so
+    # term s is term s-1 times (c+s-1)(s-1-a) / ((d1+s-1)(d2+s-1)).  The sum
+    # so far is top / den, with den the denominator of the latest term.
+    c, d1, d2 = -k - a - 2 * b + 1, -a - b + 1, -k - a - b + 2
+    num = top = den = 1
+    for s in range(1, a + 1):
+        step = (d1 + s - 1) * (d2 + s - 1)
+        if step == 0:
             raise ValueError(
                 f"denominator factor vanishes at s={s}; need a, b, k >= 1"
             )
-        num = pochhammer(1, s) * pochhammer(-k - a - 2 * b + 1, s) * pochhammer(-a, s)
-        lhs += Fraction(num, den1 * den2 * math.factorial(s))
+        num *= (c + s - 1) * (s - 1 - a)
+        top = top * step + num
+        den *= step
+    lhs = Fraction(top, den)
     rden = (k + b - 1) * b
     if rden == 0:
         raise ValueError("right-side denominator vanishes; need b, k >= 1")

@@ -48,12 +48,20 @@ def weight_key_set(n: int) -> frozenset[tuple[int, int]]:
     )
 
 
+def _check_exact(value, where: str) -> None:
+    if isinstance(value, (bool, float, complex)):
+        raise ValueError(
+            f"{where} must be an exact rational, got {type(value).__name__} {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SectionWeights:
     """Complete weight table for one three-section network.
 
     left and right map (i, j) over weight_key_set(n); middle lists one
-    weight per level 1..n.  Values are normalized to Fraction.
+    weight per level 1..n.  Values are normalized to Fraction; float,
+    complex and bool values are rejected as inexact.
     """
 
     n: int
@@ -72,9 +80,13 @@ class SectionWeights:
                     f"{name} weights must be keyed by exactly the pairs "
                     f"(i, j) with i, j >= 1 and i + j <= {self.n}"
                 )
+            for k, v in sorted(table.items()):
+                _check_exact(v, f"{name} weight {k}")
             object.__setattr__(
                 self, name, {k: Fraction(v) for k, v in sorted(table.items())}
             )
+        for level, v in enumerate(self.middle, 1):
+            _check_exact(v, f"middle weight at level {level}")
         middle = tuple(Fraction(v) for v in self.middle)
         if len(middle) != self.n:
             raise ValueError(f"middle must list exactly {self.n} weights")

@@ -24,6 +24,7 @@ from totalpos import (
     standard_weights,
     weight_matrix,
 )
+from totalpos.matrices import ExactMatrix
 from totalpos.networks import PathCollection, Vertex, _boundary_pairs
 from totalpos.three_section import SectionWeights, weight_key_set
 
@@ -92,6 +93,126 @@ def positive_collection_oracle(
                         break
         return PathCollection(tuple(out_paths), weight)
     return None
+
+
+def weight_matrix_oracle(net: PlanarNetwork) -> ExactMatrix:
+    """Independent oracle: entry (i, j) is the weight sum over source-i ->
+    sink-j paths, by one Fraction sweep per source over a vertex dict."""
+    zero = Fraction(0)
+    rows = []
+    for s in net.sources:
+        dp: dict[Vertex, Fraction] = {s: Fraction(1)}
+        for v in net.vertices:  # sorted by column, and edges only go forward
+            val = dp.get(v)
+            if not val:
+                continue
+            for head, w in net.adjacency.get(v, ()):
+                if w:
+                    dp[head] = dp.get(head, zero) + val * w
+        rows.append([dp.get(t, zero) for t in net.sinks])
+    return ExactMatrix.from_rows(rows)
+
+
+def lgv_minor_oracle(
+    net: PlanarNetwork,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    *,
+    budget: int = 10**7,
+) -> Fraction:
+    """Independent oracle: the sum of weights over vertex-disjoint path
+    collections, by enumeration with iter_paths over the network with its
+    zero-weight edges removed, in Fraction arithmetic.
+
+    The product of per-pair path counts must stay within the budget.
+    """
+    pairs = _boundary_pairs(net, rows, cols)
+    # Zero-weight edges contribute nothing to any collection; prune them so
+    # the enumeration budget reflects paths that can actually matter.
+    pruned = PlanarNetwork(
+        net.vertices,
+        [(t, h, w) for (t, h, w) in net.edges if w != 0],
+        net.sources,
+        net.sinks,
+    )
+    product = 1
+    for s, t in pairs:
+        product *= count_paths(pruned, s, t)
+        if product > budget:
+            raise EnumerationBudgetError(
+                f"path-count product exceeds enumeration budget {budget}"
+            )
+    if product == 0:
+        return Fraction(0)
+    path_lists = [
+        [(frozenset(p), w) for p, w in iter_paths(pruned, s, t)] for s, t in pairs
+    ]
+    total = Fraction(0)
+    used: set[Vertex] = set()
+
+    def rec(r: int, weight: Fraction):
+        nonlocal total
+        if r == len(path_lists):
+            total += weight
+            return
+        for pset, w in path_lists[r]:
+            if used.isdisjoint(pset):
+                used.update(pset)
+                rec(r + 1, weight * w)
+                used.difference_update(pset)
+
+    rec(0, Fraction(1))
+    return total
+
+
+def random_network(seed: int) -> PlanarNetwork:
+    """Seeded network off the built-in shapes: columns with gaps, edges that
+    skip columns, zero, negative and non-integer weights, and sources and
+    sinks at different columns."""
+    rng = random.Random(seed)
+    columns = sorted(rng.sample(range(-3, 12), rng.randint(3, 6)))
+    levels = range(rng.randint(2, 4))
+    vertices = [(c, l) for c in columns for l in levels if rng.random() < 0.9]
+    weights = (
+        0, 1, 2, -1, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(7, 6)
+    )
+    edges = [
+        (u, v, rng.choice(weights))
+        for u in vertices
+        for v in vertices
+        if v[0] > u[0] and rng.random() < 0.3
+    ]
+
+    def boundary(pool):
+        by_level = {}
+        for v in rng.sample(pool, len(pool)):
+            by_level.setdefault(v[1], v)
+        chosen = sorted(rng.sample(sorted(by_level), rng.randint(1, len(by_level))))
+        return [by_level[l] for l in chosen]
+
+    half = max(1, len(vertices) // 2)
+    sources = boundary(vertices[:half])
+    sinks = boundary(vertices[len(vertices) // 3 :])
+    return PlanarNetwork(vertices, edges, sources, sinks)
+
+
+def path_count_product(net: PlanarNetwork, rows, cols) -> int:
+    """Product over the query's pairs of their path counts along nonzero edges."""
+    nonzero = PlanarNetwork(
+        net.vertices, [e for e in net.edges if e[2]], net.sources, net.sinks
+    )
+    product = 1
+    for s, t in _boundary_pairs(net, rows, cols):
+        product *= count_paths(nonzero, s, t)
+    return product
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the EnumerationBudgetError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except EnumerationBudgetError as exc:
+        return (EnumerationBudgetError, str(exc))
 
 
 def zeroed_three_section(m, seed):
@@ -181,6 +302,16 @@ class TestValidation:
     def test_boundary_must_be_nonempty(self):
         with pytest.raises(ValueError):
             PlanarNetwork(vertices=[(0, 1)], edges=[], sources=[], sinks=[(0, 1)])
+
+    @pytest.mark.parametrize("weight", [0.1, 1.0, 1j, True, False])
+    def test_inexact_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"exact rational.*\(0, 0\) -> \(1, 0\)"):
+            PlanarNetwork([(0, 0), (1, 0)], [((0, 0), (1, 0), weight)], [(0, 0)], [(1, 0)])
+
+    def test_exact_weights_accepted(self):
+        for weight in (3, Fraction(1, 10), "1/10"):
+            net = PlanarNetwork([(0, 0), (1, 0)], [((0, 0), (1, 0), weight)], [(0, 0)], [(1, 0)])
+            assert net.edges[0][2] == Fraction(weight)
 
     def test_equality_and_hash_by_content(self):
         assert tiny_net() == tiny_net()
@@ -276,6 +407,96 @@ class TestLgvOracle:
             lgv_oracle_minor(net, (0,), (1,))
         with pytest.raises(ValueError):
             lgv_oracle_minor(net, (1,), (3,))
+
+
+BUILT_IN_NETWORKS = (
+    [(f"standard-m{m}", lambda m=m: build_three_section(standard_weights(m))) for m in range(2, 13, 2)]
+    + [
+        (f"zeroed-m{m}-seed{seed}", lambda m=m, seed=seed: zeroed_three_section(m, seed))
+        for m in range(4, 13, 2)
+        for seed in range(2)
+    ]
+    + [
+        (f"grid-{g}x{b}", lambda g=g, b=b: build_grid(g, b))
+        for g, b in ((1, 2), (3, 3), (4, 5), (6, 7))
+    ]
+)
+
+
+class TestIntegerLift:
+    """weight_matrix and lgv_oracle_minor run on the integer lift; the
+    Fraction oracles above run on the network itself."""
+
+    def test_random_networks_cover_the_hard_cases(self):
+        skips = zeros = negatives = fractions = mixed_columns = 0
+        for seed in range(80):
+            net = random_network(seed)
+            columns = sorted({c for c, _ in net.vertices})
+            for (c1, _), (c2, _), w in net.edges:
+                skips += columns.index(c2) > columns.index(c1) + 1
+                zeros += w == 0
+                negatives += w < 0
+                fractions += w.denominator > 1
+            mixed_columns += len({v[0] for v in net.sources + net.sinks}) > 2
+        assert min(skips, zeros, negatives, fractions, mixed_columns) > 0
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_weight_matrix_matches_oracle_on_random_networks(self, seed):
+        net = random_network(seed)
+        assert weight_matrix(net) == weight_matrix_oracle(net)
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in BUILT_IN_NETWORKS], ids=[name for name, _ in BUILT_IN_NETWORKS]
+    )
+    def test_weight_matrix_matches_oracle_on_built_in_networks(self, build):
+        net = build()
+        assert weight_matrix(net) == weight_matrix_oracle(net)
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_lgv_matches_oracle_on_random_networks(self, seed):
+        net = random_network(seed)
+        n = min(len(net.sources), len(net.sinks), 3)
+        for size in range(1, n + 1):
+            for rows in combinations(range(1, len(net.sources) + 1), size):
+                for cols in combinations(range(1, len(net.sinks) + 1), size):
+                    got = outcome(lgv_oracle_minor, net, rows, cols, budget=10**4)
+                    want = outcome(lgv_minor_oracle, net, rows, cols, budget=10**4)
+                    assert got == want, (rows, cols)
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in BUILT_IN_NETWORKS], ids=[name for name, _ in BUILT_IN_NETWORKS]
+    )
+    def test_lgv_matches_oracle_on_built_in_networks(self, build):
+        net = build()
+        n = len(net.sources)
+        rng = random.Random(n)
+        for _ in range(25):
+            size = rng.randint(1, min(3, n))
+            rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            got = outcome(lgv_oracle_minor, net, rows, cols, budget=2 * 10**4)
+            want = outcome(lgv_minor_oracle, net, rows, cols, budget=2 * 10**4)
+            assert got == want, (rows, cols)
+
+    @pytest.mark.parametrize(
+        "build, rows, cols",
+        [
+            (lambda: build_three_section(standard_weights(6)), (1, 2, 3), (1, 2, 3)),
+            (lambda: build_three_section(standard_weights(8)), (2, 5), (3, 6)),
+            (lambda: zeroed_three_section(6, 1), (1, 3), (2, 4)),
+            (lambda: build_grid(4, 3), (1, 2, 3), (1, 2, 3)),
+            (lambda: random_network(11), (2, 3), (2, 3)),
+        ],
+    )
+    def test_budget_is_the_path_count_product(self, build, rows, cols):
+        net = build()
+        product = path_count_product(net, rows, cols)
+        assert product > 1
+        with pytest.raises(EnumerationBudgetError):
+            lgv_oracle_minor(net, rows, cols, budget=product - 1)
+        assert lgv_oracle_minor(net, rows, cols, budget=product) == lgv_minor_oracle(
+            net, rows, cols, budget=product
+        )
 
 
 class TestPositiveCollections:
@@ -379,6 +600,85 @@ class TestPositiveCollections:
         d = pc.to_json_dict()
         assert set(d) == {"paths", "weight"}
         assert d["weight"] == "1"
+
+
+RESUME_NETWORKS = {
+    "a": lambda: build_three_section(standard_weights(6)),
+    "b": lambda: zeroed_three_section(6, 3),
+}
+
+# Queries run in this order on one network per name.  On "a": a shared
+# prefix, a strict prefix and its extension, a query that fails at its
+# third pair (whose sink the query before routed from another source),
+# one that shares the two routed pairs before that failure, then "b"
+# interleaved.
+RESUME_SEQUENCE = (
+    ("a", (1, 2, 3), (1, 2, 3)),
+    ("a", (1, 2, 3), (1, 2, 4)),
+    ("a", (1, 2), (1, 2)),
+    ("a", (1, 2, 3), (1, 2, 3)),
+    ("a", (1, 2, 4), (1, 2, 3)),
+    ("a", (1, 2, 3, 4), (1, 2, 3, 4)),
+    ("b", (1, 2, 3), (1, 2, 3)),
+    ("a", (1, 2, 3, 4, 5), (1, 2, 3, 4, 5)),
+    ("b", (1, 2, 4), (1, 3, 4)),
+    ("b", (1, 2, 4), (1, 3, 5)),
+    ("a", (1, 2, 3), (1, 2, 3)),
+    ("a", (1, 2, 3), (1, 2, 3)),
+)
+
+
+def as_json(found: Optional[PathCollection]):
+    return None if found is None else found.to_json_dict()
+
+
+def fresh_steps(name: str, rows, cols) -> int:
+    """Smallest budget at which a freshly built network answers the query."""
+    low, high = 0, 10**4
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            find_positive_collection(RESUME_NETWORKS[name](), rows, cols, budget=mid)
+        except EnumerationBudgetError:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+class TestResumedRouting:
+    def test_results_equal_fresh_networks(self):
+        nets = {name: build() for name, build in RESUME_NETWORKS.items()}
+        results = []
+        for name, rows, cols in RESUME_SEQUENCE:
+            got = find_positive_collection(nets[name], rows, cols)
+            fresh = find_positive_collection(RESUME_NETWORKS[name](), rows, cols)
+            assert as_json(got) == as_json(fresh), (name, rows, cols)
+            results.append(got)
+        assert results[4] is None  # fails at its third pair
+        assert sum(r is not None for r in results) >= 9
+
+    def test_budget_binds_as_on_fresh_networks(self):
+        """Budgets below a query's fresh step count raise, from the resumed
+        prefix as well as mid-route; the fresh step count itself answers."""
+        nets = {name: build() for name, build in RESUME_NETWORKS.items()}
+        for name, rows, cols in RESUME_SEQUENCE:
+            steps = fresh_steps(name, rows, cols)
+            assert steps > 0
+            for budget in sorted({0, steps // 2, steps - 1}):
+                with pytest.raises(EnumerationBudgetError, match=f"budget {budget}$"):
+                    find_positive_collection(nets[name], rows, cols, budget=budget)
+            got = find_positive_collection(nets[name], rows, cols, budget=steps)
+            fresh = find_positive_collection(RESUME_NETWORKS[name](), rows, cols)
+            assert as_json(got) == as_json(fresh), (name, rows, cols)
+
+    def test_repeated_query_raises_below_its_prefix_steps(self):
+        net = build_three_section(standard_weights(6))
+        find_positive_collection(net, (1, 2, 3), (1, 2, 3))
+        steps = fresh_steps("a", (1, 2), (1, 2))
+        with pytest.raises(EnumerationBudgetError):
+            find_positive_collection(net, (1, 2), (1, 2), budget=steps - 1)
+        assert find_positive_collection(net, (1, 2), (1, 2), budget=steps) is not None
 
 
 class TestDotExport:

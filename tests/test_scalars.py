@@ -14,6 +14,29 @@ from totalpos import (
     pochhammer,
     saalschuetz_check,
 )
+from totalpos.scalars import SaalschuetzCheck
+
+
+def saalschuetz_oracle(a: int, b: int, k: int) -> SaalschuetzCheck:
+    """Independent oracle: the balanced sum with every Pochhammer product
+    of every term computed afresh, in Fraction arithmetic."""
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    lhs = Fraction(0)
+    for s in range(a + 1):
+        den1 = pochhammer(-a - b + 1, s)
+        den2 = pochhammer(-k - a - b + 2, s)
+        if den1 == 0 or den2 == 0:
+            raise ValueError(
+                f"denominator factor vanishes at s={s}; need a, b, k >= 1"
+            )
+        num = pochhammer(1, s) * pochhammer(-k - a - 2 * b + 1, s) * pochhammer(-a, s)
+        lhs += Fraction(num, den1 * den2 * math.factorial(s))
+    rden = (k + b - 1) * b
+    if rden == 0:
+        raise ValueError("right-side denominator vanishes; need b, k >= 1")
+    rhs = Fraction((k + a + b - 1) * (a + b), rden)
+    return SaalschuetzCheck(lhs == rhs, lhs, rhs)
 
 
 class TestBinomial:
@@ -85,6 +108,34 @@ class TestSaalschuetz:
             for b in range(1, 6):
                 for k in range(1, 6):
                     assert saalschuetz_check(a, b, k).holds
+
+    def test_sides_match_the_per_term_oracle(self):
+        for a in range(0, 21):
+            for b in range(1, 13):
+                for k in range(1, 13):
+                    got = saalschuetz_check(a, b, k)
+                    want = saalschuetz_oracle(a, b, k)
+                    assert (got.lhs, got.rhs) == (want.lhs, want.rhs), (a, b, k)
+                    assert got.holds
+
+    def test_vanishing_denominators_raise_as_the_oracle_does(self):
+        raised = set()
+        for a in range(-1, 9):
+            for b in range(-4, 4):
+                for k in range(-4, 4):
+                    try:
+                        want = saalschuetz_oracle(a, b, k)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as info:
+                            saalschuetz_check(a, b, k)
+                        assert str(info.value) == str(exc), (a, b, k)
+                        raised.add(str(exc))
+                    else:
+                        assert saalschuetz_check(a, b, k) == want, (a, b, k)
+        assert "denominator factor vanishes at s=1; need a, b, k >= 1" in raised
+        assert "denominator factor vanishes at s=5; need a, b, k >= 1" in raised
+        assert "right-side denominator vanishes; need b, k >= 1" in raised
+        assert "a must be >= 0" in raised
 
     def test_sides_are_exact_fractions(self):
         chk = saalschuetz_check(3, 2, 4)

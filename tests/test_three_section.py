@@ -126,6 +126,16 @@ class TestSectionWeights:
         with pytest.raises(ValueError, match="right weights"):
             SectionWeights(n=2, left={(1, 1): Fraction(1)}, middle=(Fraction(1), Fraction(1)), right={(2, 2): Fraction(1)})
 
+    @pytest.mark.parametrize("weight", [0.5, 1.0, 2j, True])
+    def test_inexact_weights_rejected(self, weight):
+        exact = Fraction(1)
+        with pytest.raises(ValueError, match=r"left weight \(1, 1\) must be an exact rational"):
+            SectionWeights(n=2, left={(1, 1): weight}, middle=(exact, exact), right={(1, 1): exact})
+        with pytest.raises(ValueError, match=r"right weight \(1, 1\) must be an exact rational"):
+            SectionWeights(n=2, left={(1, 1): exact}, middle=(exact, exact), right={(1, 1): weight})
+        with pytest.raises(ValueError, match="middle weight at level 2 must be an exact rational"):
+            SectionWeights(n=2, left={(1, 1): exact}, middle=(exact, weight), right={(1, 1): exact})
+
     def test_weights_normalize_to_fractions(self):
         w = SectionWeights(n=2, left={(1, 1): 1}, middle=(1, "1/2"), right={(1, 1): "2/4"})
         assert w.middle == (Fraction(1), Fraction(1, 2))
