@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .matrices import (
     ExactMatrix,
     GeneralPositionReport,
+    _int_lift,
     _laplace_walk,
     determinant,
     diagonal,
@@ -224,7 +225,7 @@ def positive_minor_scan(
             )
         return True
 
-    _laplace_walk([list(col) for col in zip(*block.entries)][::-1], visit)
+    _laplace_walk(*_int_lift(list(zip(*block.entries))[::-1]), visit)
     kept.sort(key=lambda item: (len(item[0]), item[0], item[1]))
     net = build_three_section(standard_weights(m)) if with_witnesses else None
     violations = []

@@ -1,8 +1,8 @@
 """Exact matrices over the rationals.
 
-Fraction-free (Bareiss) determinants over a common-denominator integer
-lift, minor queries, total-nonnegativity/positivity scans, and the
-maximal-minor scan engine that backs general-position certificates.
+One fraction-free (Bareiss) elimination for determinants and the scan's
+basis reduction, minor queries, total-nonnegativity/positivity scans,
+and the maximal-minor scan engine that backs general-position certificates.
 
 One walk enumerates minors for every exhaustive scan (_laplace_walk).
 It visits row prefixes depth first.  A node holds every minor on its
@@ -24,18 +24,20 @@ walks the block's columns tail first and keeps the minors whose columns
 contain the tail block.
 
 The scan engine reduces each maximal minor to a small complementary
-minor.  One Gauss-Jordan reduction of M^T over Q gives the
-lexicographically first invertible row basis B (its pivot columns),
-every remaining row in B-coordinates (matrix C, its other columns) and
-|det B| (the product of its pivots).  For a row subset I using k
-non-basis rows, |det M[I]| = |det B| * |det C[K, Jc]| where Jc is the
-complement of the basis positions I occupies.  So the maximal minors of
-M are, up to the factor |det B| and the row scales, exactly the minors
-of C, the all-basis subset being the empty minor.  When the reduction
-finds fewer pivots than columns, every maximal minor is 0 and no
-determinant is taken.  The constant search decides each candidate by
-the same walk over C, descending no further after its first zero minor:
-a stopped walk is a rejection, and a finished one gives the report.
+minor.  M is lifted to integers over the least common denominator S of
+its entries; one fraction-free Gauss-Jordan reduction of the transpose
+(_bareiss_reduce, also behind determinant) gives the lexicographically
+first invertible row basis B (its pivot columns), every remaining row
+in B-coordinates (matrix C, its other columns, over the last pivot D)
+and |det B| = |D| / S^c.  For a row subset I using k non-basis rows,
+|det M[I]| = |det B| * |det C[K, Jc]| where Jc is the complement of the
+basis positions I occupies.  So the maximal minors of M are, up to the
+factor |det B| and the row scales, exactly the minors of C, the
+all-basis subset being the empty minor.  When the reduction finds fewer
+pivots than columns, every maximal minor is 0 and no determinant is
+taken.  The constant search decides each candidate by the same walk
+over C, descending no further after its first zero minor: a stopped
+walk is a rejection, and a finished one gives the report.
 Sampled scans decode their sorted ranks by shared prefixes
 (_decode_ranks) and take one determinant of C per subset, from a
 generated straight-line Bareiss kernel per size (_bareiss_kernel) that
@@ -139,54 +141,75 @@ class ScanVerdict(NamedTuple):
     witness: Optional[MinorWitness]
 
 
-def _int_lift_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale a rational row to integers; returns (row, scale)."""
-    scale = math.lcm(*(x.denominator for x in row)) if row else 1
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+def _int_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(integer rows, d): rational rows over their least common denominator d."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _over(row: Sequence[int], den: int) -> tuple[list[int], int]:
+    """row / den (den > 0) in lowest terms: (row // g, den // g), g = gcd(den, *row)."""
+    g = math.gcd(den, *row)
+    return [x // g for x in row], den // g
+
+
+def _bareiss_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss,
+    Math. Comp. 22, 1968): (pivot columns, reduced rows, det).
+
+    Each column in turn takes as its pivot p the first nonzero entry at or
+    below the next pivot row, exchanged into that row, or is skipped.  Every
+    other row then becomes (a*p - f*b) // prev, with f its entry in p's
+    column, b the pivot row's entry in a's column and prev the previous
+    pivot (1 at first); each entry is a minor, so the division is exact.
+    The pivot rows end with the last pivot P times the identity in the
+    pivot columns and P times their coordinates over those elsewhere; det
+    is P times the sign of the row exchanges.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    pivots: list[int] = []
+    sign = prev = 1
+    for j in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        if k == n:
+            break
+        p = next((i for i in range(k, n) if a[i][j]), None)
+        if p is None:
+            continue
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[j]
+        for i in range(n):
+            if i != k:
+                f = a[i][j]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+        pivots.append(j)
+    return pivots, a, sign * prev
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; exact integer determinant."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = a[k][k]
-        ak = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pkk - aik * ak[j]) // prev
-        prev = pkk
-    return sign * a[n - 1][n - 1]
+    """Exact integer determinant: _bareiss_reduce's, or 0 when a column has
+    no pivot."""
+    pivots, _, det = _bareiss_reduce(rows)
+    return det if len(pivots) == len(rows) else 0
 
 
 @functools.lru_cache(maxsize=None)
 def _bareiss_kernel(k: int) -> Callable:
-    """_bareiss_det's elimination of a k x k matrix without row exchanges,
-    as one straight-line function det(rows, cols).
+    """_bareiss_reduce's elimination of a k x k matrix without row
+    exchanges, updating only the rows below each pivot, as one
+    straight-line function det(rows, cols).
 
     det takes integer rows and k column indices and unpacks the entries
     rows[i][cols[j]] into locals, so the gather runs inside it.  It then
-    makes the loop's exact integer updates in order and returns the same
-    determinant, or None at the first zero pivot, where the loop would
-    exchange rows; the caller then falls back to _bareiss_det.  Kernels
+    makes the loop's exact integer updates of those rows in order and
+    returns the same determinant, or None at the first zero pivot, where
+    the loop would exchange rows; the caller then falls back to
+    _bareiss_det.  Kernels
     are compiled on first use and kept for the life of the process, like
     _laplace_kernel; the source grows as k^3.
     """
@@ -221,13 +244,8 @@ def _bareiss_kernel(k: int) -> Callable:
 def determinant(matrix: ExactMatrix) -> Fraction:
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    lifted = []
-    denom = 1
-    for row in matrix.entries:
-        ints, scale = _int_lift_row(row)
-        lifted.append(ints)
-        denom *= scale
-    return Fraction(_bareiss_det(lifted), denom)
+    rows, den = _int_lift(matrix.entries)
+    return Fraction(_bareiss_det(rows), den**matrix.rows)
 
 
 def minor(matrix: ExactMatrix, query: MinorQuery) -> Fraction:
@@ -240,17 +258,17 @@ def minor(matrix: ExactMatrix, query: MinorQuery) -> Fraction:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """The exact product, from integer dot products: each row of a and each
-    column of b is lifted to integers once, and each entry is one Fraction
-    of an integer dot product over the two scales."""
+    """The exact product, from integer dot products: a and the transpose of
+    b are each lifted to integers over one common denominator, and each
+    entry is one Fraction of an integer dot product over the two."""
     if a.cols != b.rows:
         raise ValueError("inner dimensions must agree")
-    rows = [_int_lift_row(row) for row in a.entries]
-    cols = [_int_lift_row(col) for col in zip(*b.entries)]
+    rows, sa = _int_lift(a.entries)
+    cols, sb = _int_lift(list(zip(*b.entries)))
     return ExactMatrix(
         tuple(
-            tuple(Fraction(sum(map(operator.mul, x, y)), sx * sy) for y, sy in cols)
-            for x, sx in rows
+            tuple(Fraction(sum(map(operator.mul, x, y)), sa * sb) for y in cols)
+            for x in rows
         )
     )
 
@@ -315,8 +333,9 @@ def _laplace_kernel(n: int, s: int) -> tuple[tuple[tuple[int, ...], ...], Callab
     return subsets, namespace["expand"]
 
 
-def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
-    """Every minor of a rational matrix, depth first over row prefixes.
+def _laplace_walk(rows: Sequence[Sequence[int]], den: int, visit: Callable) -> None:
+    """Every minor of the rational matrix rows / den (integer rows over one
+    positive common denominator), depth first over row prefixes.
 
     A node is a row set I; it holds the vector of det A[I, J] over the
     |I|-subsets J of the columns in lex order.  The child I + (i), for
@@ -331,17 +350,17 @@ def _laplace_walk(entries: Sequence[Sequence], visit: Callable) -> None:
 
     A wide matrix (more columns than rows) is walked as its transpose,
     so the kernels span the shorter side; "rows" below are the walked
-    ones.  Each walked row is lifted to integers once, so a node's
-    minors are integers over one positive scale, the product of its row
-    scales, and keep their signs.  For every node, in depth-first order,
-    visit(node, subsets, minors, scale) gets the row tuple, the column
-    subsets in lex order, the integer minors and the scale; the walk
-    descends below the node only when visit returns true.
+    ones.  Each walked row is divided by its gcd with den once (_over),
+    so a node's minors are integers over one positive scale, the product
+    of its row scales, and keep their signs.  For every node, in
+    depth-first order, visit(node, subsets, minors, scale) gets the row
+    tuple, the column subsets in lex order, the integer minors and the
+    scale; the walk descends below the node only when visit returns true.
     """
-    grid = list(entries)
+    grid = list(rows)
     if grid and len(grid[0]) > len(grid):
         grid = list(zip(*grid))
-    lifted = [_int_lift_row(row) for row in grid]
+    lifted = [_over(row, den) for row in grid]
     rows = [ints for ints, _ in lifted]
     width = len(grid[0]) if grid else 0
     depth = min(len(grid), width)
@@ -382,7 +401,7 @@ def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdi
                 best = (key, Fraction(minors[t], scale))
         return best is None or len(node) < best[0][0]
 
-    _laplace_walk(matrix.entries, visit)
+    _laplace_walk(*_int_lift(matrix.entries), visit)
     if best is None:
         return ScanVerdict(True, None)
     (_, rows_idx, cols_idx), value = best
@@ -495,10 +514,9 @@ class _BasisContext:
     n_rows: int
     n_cols: int
     basis_pos: tuple[int, ...]  # row index -> basis position, -1 if non-basis
-    coord_pos: tuple[int, ...]  # row index -> C row index, -1 if basis row
-    coord: tuple[tuple[Fraction, ...], ...]  # C, one row per non-basis row
-    coord_rows: tuple[tuple[int, ...], ...]  # C, integer-lifted per row
-    coord_scales: tuple[int, ...]
+    coord: tuple[tuple[int, ...], ...]  # den * C, one row per non-basis row
+    den: int  # |D|, the last pivot's magnitude: C's common denominator
+    det_scale: int  # S^c, so that |det B| = den / det_scale
 
 
 def _walk_scan(ctx: _BasisContext, stop_at_zero: bool = False):
@@ -533,7 +551,7 @@ def _walk_scan(ctx: _BasisContext, stop_at_zero: bool = False):
             best = (low, scale)
         return not (stop_at_zero and zeros)
 
-    _laplace_walk(ctx.coord, visit)
+    _laplace_walk(ctx.coord, ctx.den, visit)
     if stop_at_zero and zeros:
         return None
     expected = math.comb(ctx.n_rows, ctx.n_cols)
@@ -555,19 +573,18 @@ def _scan_chunk(payload):
     ascending lexicographic ranks, one determinant each.
 
     Walking a subset sorts its rows into basis rows, whose positions leave
-    the free columns of C, and non-basis rows, whose integer rows of C
-    and scales are gathered; |det M[I]| is |det B| times |det C[K, free]|
-    over the product of the scales.  The determinant is the generated
-    kernel for its size (_bareiss_kernel), or _bareiss_det when a pivot
-    is 0.
+    the free columns of C, and non-basis rows, whose rows of C (each
+    divided by its gcd with C's denominator, _over) and scales are
+    gathered; |det M[I]| is |det B| times |det C[K, free]| over the
+    product of the scales.  The determinant is the generated kernel for
+    its size (_bareiss_kernel), or _bareiss_det when a pivot is 0.
     """
     ctx, ranks = payload
     n_cols = ctx.n_cols
     # Per row of M: its basis position, or its integer row of C and scale.
-    kinds = [
-        (p, None, 1) if p >= 0 else (-1, ctx.coord_rows[r], ctx.coord_scales[r])
-        for p, r in zip(ctx.basis_pos, ctx.coord_pos)
-    ]
+    coord = iter(ctx.coord)
+    kinds = [(p, None, 1) if p >= 0 else (-1, *_over(next(coord), ctx.den))
+             for p in ctx.basis_pos]
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None  # (|det| numerator part, scale part)
     for comb in _subsets(ctx.n_rows, n_cols, ranks):
@@ -595,58 +612,29 @@ def _scan_chunk(payload):
 
 
 def _build_context(matrix: ExactMatrix):
-    """One Gauss-Jordan reduction of M^T over Q.
+    """One fraction-free Gauss-Jordan reduction of M^T over Z.
 
-    Column i of M^T is row i of M, so the pivot columns are the
-    lexicographically first row basis B; once the last pivot is cleared,
-    each non-pivot column holds the B-coordinates x of its row
-    (x * B = row); and |det B| is the product of the pivot magnitudes,
-    since the other row operations leave it unchanged.  Returns
-    (context, |det B|), or (None, None) when M has rank below its column
-    count.
+    M is lifted to the integer matrix A = S * M over the least common
+    denominator S of its entries, and A^T is reduced by _bareiss_reduce.
+    Column i of A^T is row i of M, so the pivot columns are the
+    lexicographically first row basis B.  With D the last pivot, each
+    non-pivot column holds D times the B-coordinates x of its row (x * B
+    = row), so C is kept as those integer columns over |D|; and |det B| =
+    |D| / S^c, since det A[B] = S^c det B and D is det A[B] up to sign.
+    Returns None when M has rank below its column count.
     """
     r, c = matrix.rows, matrix.cols
-    work = [list(col) for col in zip(*matrix.entries)]
-    basis: list[int] = []
-    abs_det_b = Fraction(1)
-    for j in range(r):
-        k = len(basis)
-        if k == c:
-            break
-        p = next((i for i in range(k, c) if work[i][j]), None)
-        if p is None:
-            continue
-        work[k], work[p] = work[p], work[k]
-        pivot = work[k][j]
-        abs_det_b *= abs(pivot)
-        prow = work[k] = [x / pivot for x in work[k]]
-        for i in range(c):
-            factor = work[i][j]
-            if i != k and factor:
-                work[i] = [x - factor * y for x, y in zip(work[i], prow)]
-        basis.append(j)
+    rows, scale = _int_lift(matrix.entries)
+    basis, work, _ = _bareiss_reduce(list(zip(*rows)))
     if len(basis) < c:
-        return None, None
+        return None
+    last = work[0][basis[0]]  # D, on the diagonal of every pivot row
+    sign = -1 if last < 0 else 1
     basis_pos = [-1] * r
     for pos, i in enumerate(basis):
         basis_pos[i] = pos
-    coord_pos = [-1] * r
-    coord = []
-    for i in range(r):
-        if basis_pos[i] < 0:
-            coord_pos[i] = len(coord)
-            coord.append(tuple(row[i] for row in work))
-    lifted = [_int_lift_row(row) for row in coord]
-    ctx = _BasisContext(
-        n_rows=r,
-        n_cols=c,
-        basis_pos=tuple(basis_pos),
-        coord_pos=tuple(coord_pos),
-        coord=tuple(coord),
-        coord_rows=tuple(tuple(ints) for ints, _ in lifted),
-        coord_scales=tuple(scale for _, scale in lifted),
-    )
-    return ctx, abs_det_b
+    coord = tuple(tuple(sign * row[i] for row in work) for i in range(r) if basis_pos[i] < 0)
+    return _BasisContext(r, c, tuple(basis_pos), coord, abs(last), scale**c)
 
 
 def _per_subset_scan(ctx, ranks):
@@ -742,7 +730,7 @@ def _scan_report(matrix, seed=None, sample_count=None, *, stop_at_zero=False):
     ranks = None
     if seed is not None:
         ranks = sorted(random.Random(seed).sample(range(total), sample_count))
-    ctx, abs_det_b = _build_context(matrix)
+    ctx = _build_context(matrix)
 
     if ctx is None:
         if stop_at_zero:
@@ -764,7 +752,7 @@ def _scan_report(matrix, seed=None, sample_count=None, *, stop_at_zero=False):
         if part_best is not None:
             if best is None or part_best[0] * best[1] < best[0] * part_best[1]:
                 best = part_best
-    min_abs = Fraction(best[0], best[1]) * abs_det_b if best is not None else None
+    min_abs = Fraction(best[0] * ctx.den, best[1] * ctx.det_scale) if best else None
 
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return GeneralPositionReport(

@@ -7,10 +7,10 @@ separately as the small-instance oracle for the determinant =
 disjoint-collection-sum identity, which this module guarantees only for
 the built-in constructions (the three-section network and the grid).
 
-Both run on an integer lift of the network (_integer_lift): each edge
-weight is scaled by the denominators of the columns it spans, so every
-path between two columns is scaled by the same integer and a sum of path
-weights is one integer sum divided once.
+Both run on an integer lift of the network (_integer_lift), built once
+per network and kept: each edge weight is scaled by the denominators of
+the columns it spans, so every path between two columns is scaled by the
+same integer and a sum of path weights is one integer sum divided once.
 
 Positive path collections are routed greedily, pair by pair in boundary
 order, each along the lowest positive path that avoids the earlier ones,
@@ -65,7 +65,9 @@ def _as_vertex(v) -> Vertex:
 class PlanarNetwork:
     """Immutable weighted DAG with ordered source and sink boundaries."""
 
-    __slots__ = ("vertices", "edges", "sources", "sinks", "_adj", "_routes", "_trail")
+    __slots__ = (
+        "vertices", "edges", "sources", "sinks", "_adj", "_lift", "_routes", "_trail"
+    )
 
     def __init__(self, vertices, edges, sources, sinks):
         vset = {_as_vertex(v) for v in vertices}
@@ -105,11 +107,16 @@ class PlanarNetwork:
         for tail, head, w in self.edges:
             adj.setdefault(tail, []).append((head, w))
         object.__setattr__(self, "_adj", {k: tuple(v) for k, v in adj.items()})
-        object.__setattr__(self, "_routes", None)
+        object.__setattr__(self, "_lift", None)
+        object.__setattr__(self, "_routes", {})
         object.__setattr__(self, "_trail", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarNetwork is immutable")
+
+    def __reduce__(self):
+        """Pickled and copied by its data; the copy rebuilds its caches."""
+        return PlanarNetwork, (self.vertices, self.edges, self.sources, self.sinks)
 
     @property
     def adjacency(self) -> dict:
@@ -118,20 +125,17 @@ class PlanarNetwork:
     def _routes_to(self, sink: Vertex) -> tuple[dict, list]:
         """(vertex index, routing table toward sink), built on first use.
 
-        Vertices are numbered by their position in self.vertices.  Entry k
-        of the table lists the positive-weight edges out of vertex k as
-        (head, numerator, denominator) triples in adjacency order, keeping
-        only heads from which a positive path reaches the sink; it is None
-        when no positive path leads from vertex k to the sink.  The index
-        is built once per network and each table once per sink; both are
-        kept.  Next to them, self._trail holds one _Routed state per pair
-        routed by the last positive-collection query.
+        The index is the integer lift's: vertices are numbered by their
+        position in self.vertices.  Entry k of the table lists the
+        positive-weight edges out of vertex k as (head, numerator,
+        denominator) triples in adjacency order, keeping only heads from
+        which a positive path reaches the sink; it is None when no positive
+        path leads from vertex k to the sink.  Each table is built once per
+        sink and kept.  Next to them, self._trail holds one _Routed state
+        per pair routed by the last positive-collection query.
         """
-        if self._routes is None:
-            index = {v: k for k, v in enumerate(self.vertices)}
-            object.__setattr__(self, "_routes", (index, {}))
-        index, tables = self._routes
-        table = tables.get(sink)
+        index = _integer_lift(self)[0]
+        table = self._routes.get(sink)
         if table is None:
             table = [None] * len(index)
             table[index[sink]] = ()
@@ -144,7 +148,7 @@ class PlanarNetwork:
                 )
                 if edges:
                     table[k] = edges
-            tables[sink] = table
+            self._routes[sink] = table
         return index, table
 
     def __eq__(self, other) -> bool:
@@ -168,7 +172,8 @@ class PlanarNetwork:
 
 
 def _integer_lift(net: PlanarNetwork) -> tuple[dict, list, list]:
-    """(index, adj, scale): the network with integer edge weights.
+    """(index, adj, scale): the network with integer edge weights, built
+    on first use and kept on the network.
 
     Column c gets the lcm of the denominators of the nonzero edges leaving
     it, and scale[c] is the product of those lcms over the columns before
@@ -182,6 +187,8 @@ def _integer_lift(net: PlanarNetwork) -> tuple[dict, list, list]:
     for the nonzero edges out of vertex k in adjacency order, and
     scale[k] is the scale of vertex k's column.
     """
+    if net._lift is not None:
+        return net._lift
     index = {v: k for k, v in enumerate(net.vertices)}
     nonzero = []
     dens: dict[int, set[int]] = {}  # denominators above 1, by tail column
@@ -206,7 +213,9 @@ def _integer_lift(net: PlanarNetwork) -> tuple[dict, list, list]:
         if r is None:
             r = ratio[span] = col_scale[head[0]] // col_scale[tail[0]]
         adj[index[tail]].append((index[head], num * (r // den)))
-    return index, adj, [col_scale[c] for c, _ in net.vertices]
+    lift = index, adj, [col_scale[c] for c, _ in net.vertices]
+    object.__setattr__(net, "_lift", lift)
+    return lift
 
 
 def weight_matrix(net: PlanarNetwork) -> ExactMatrix:

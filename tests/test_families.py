@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from totalpos import (
     weight_matrix,
 )
 from totalpos.families import PositiveMinorReport
+from totalpos.matrices import _build_context
 
 from test_networks import positive_collection_oracle
 
@@ -222,6 +224,27 @@ class TestGeneralPosition:
     def test_budget_guard(self):
         with pytest.raises(ScanBudgetError):
             general_position(20, exhaustive_limit=100)
+
+    @pytest.mark.parametrize("m", range(4, 26, 2))
+    def test_reordered_rows_reduce_to_integer_sign_regular_coordinates(self, m):
+        """Rows reordered to 1..t, 3t, 3t-1, ..., 2t+1, t+1..2t: the basis
+        reduction picks the first 2t rows, and the coordinates C of rows
+        t+1..2t in that basis are integers, none of them 0, with a rank-one
+        sign pattern, and the first t columns of |C| are the block B1,
+        B1[i][j] = C(t+i-1, j-1)."""
+        t = m // 2
+        M = coefficient_matrix(family_polys(m), m)
+        order = [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
+        ctx = _build_context(ExactMatrix.from_rows(M.entries[i] for i in order))
+        assert ctx.basis_pos == (*range(2 * t), *[-1] * t)
+        C = [[Fraction(x, ctx.den) for x in row] for row in ctx.coord]
+        assert all(x.denominator == 1 and x != 0 for row in C for x in row)
+        signs = [[x > 0 for x in row] for row in C]
+        flipped = [not s for s in signs[0]]
+        assert all(row in (signs[0], flipped) for row in signs)
+        assert [[abs(x) for x in row[:t]] for row in C] == [
+            [math.comb(t + i, j) for j in range(t)] for i in range(t)
+        ]
 
     def test_sampled_mode(self):
         rep = general_position(12, mode="sampled", seed=11, sample_count=300)

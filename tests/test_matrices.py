@@ -43,10 +43,13 @@ import totalpos.matrices
 from totalpos.matrices import (
     _bareiss_det,
     _bareiss_kernel,
+    _bareiss_reduce,
+    _build_context,
     _decode_ranks,
     _laplace_kernel,
     _laplace_walk,
     _minor_count,
+    _over,
     _scan_report,
 )
 
@@ -107,9 +110,84 @@ def total_scan_oracle(matrix, strict):
     return ScanVerdict(True, None)
 
 
+def forward_bareiss_det(rows):
+    """Independent oracle: Bareiss's forward elimination of a square integer
+    matrix, updating only the rows below each pivot, with a row exchange at
+    a zero pivot; its last pivot is the determinant."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = a[k][k]
+        ak = a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pkk - aik * ak[j]) // prev
+        prev = pkk
+    return sign * a[n - 1][n - 1]
+
+
+def gauss_jordan_basis(matrix):
+    """Independent oracle for the scan's basis reduction: one Gauss-Jordan
+    reduction of M^T over Q.
+
+    Column i of M^T is row i of M, so the pivot columns are the
+    lexicographically first row basis B; once the last pivot is cleared,
+    each non-pivot column holds the B-coordinates x of its row (x * B =
+    row); and |det B| is the product of the pivot magnitudes.  Returns
+    (basis, C, |det B|), C with one row per non-basis row, or None when M
+    has rank below its column count.
+    """
+    r, c = matrix.rows, matrix.cols
+    work = [list(col) for col in zip(*matrix.entries)]
+    basis = []
+    abs_det_b = Fraction(1)
+    for j in range(r):
+        k = len(basis)
+        if k == c:
+            break
+        p = next((i for i in range(k, c) if work[i][j]), None)
+        if p is None:
+            continue
+        work[k], work[p] = work[p], work[k]
+        pivot = work[k][j]
+        abs_det_b *= abs(pivot)
+        prow = work[k] = [x / pivot for x in work[k]]
+        for i in range(c):
+            factor = work[i][j]
+            if i != k and factor:
+                work[i] = [x - factor * y for x, y in zip(work[i], prow)]
+        basis.append(j)
+    if len(basis) < c:
+        return None
+    coord = [tuple(row[i] for row in work) for i in range(r) if i not in basis]
+    return basis, coord, abs_det_b
+
+
+def lift_row(row):
+    """A rational row as integers over the lcm of its denominators:
+    (integers, scale)."""
+    scale = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(Fraction(x) * scale) for x in row], scale
+
+
 def direct_minors(matrix):
     """Independent oracle: det M[I] for every row subset I of size cols, in
-    lex order, one Bareiss determinant of the integer-lifted rows each."""
+    lex order, one forward Bareiss determinant of the integer-lifted rows
+    each."""
     lifted = []
     for row in matrix.entries:
         scale = math.lcm(*(x.denominator for x in row))
@@ -117,7 +195,7 @@ def direct_minors(matrix):
     out = []
     for rows_idx in combinations(range(matrix.rows), matrix.cols):
         denom = math.prod(lifted[i][1] for i in rows_idx)
-        value = _bareiss_det([lifted[i][0] for i in rows_idx])
+        value = forward_bareiss_det([lifted[i][0] for i in rows_idx])
         out.append((rows_idx, Fraction(value, denom)))
     return out
 
@@ -245,15 +323,18 @@ def product_operands(draw):
 
 
 def walk_records(entries, descend=lambda node: True):
-    """Every (node, subsets, minors, scale) the Laplace walk visits, in
-    order; it descends below the nodes that descend(node) accepts."""
+    """Every (node, subsets, minors, scale) the Laplace walk of the rational
+    rows entries visits, in order; it descends below the nodes that
+    descend(node) accepts.  The walk gets the rows as integers over their
+    least common denominator."""
     records = []
 
     def visit(node, subsets, minors, scale):
         records.append((node, subsets, minors, scale))
         return descend(node)
 
-    _laplace_walk(entries, visit)
+    den = math.lcm(*(x.denominator for row in entries for x in row))
+    _laplace_walk([[int(x * den) for x in row] for row in entries], den, visit)
     return records
 
 
@@ -286,6 +367,66 @@ def shapes_by_width(seed, entry):
             r, c = (width, longer) if rng.random() < 0.5 else (longer, width)
             out.append(ExactMatrix.from_rows([[entry(rng) for _ in range(c)] for _ in range(r)]))
     return out
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A tall or square rational matrix, c in 1..5 columns and c..c+5
+    rows, so that its coordinate matrix C is empty, wide or tall: random
+    small entries, a product of lower rank, or random rows with one or
+    two rows repeated or zeroed.  The entries come from a drawn seed."""
+    c = draw(st.integers(1, 5))
+    r = draw(st.integers(c, c + 5))
+    kind = draw(st.sampled_from(("random", "low-rank", "repeated", "zero")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    if kind == "low-rank":
+        k = rng.randint(0, c - 1)
+        left = [[entry() for _ in range(k)] for _ in range(r)]
+        right = [[entry() for _ in range(c)] for _ in range(k)]
+        rows = [[sum((row[p] * right[p][j] for p in range(k)), Fraction(0)) for j in range(c)]
+                for row in left]
+    else:
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+        for _ in range(rng.randint(1, 2) if kind != "random" else 0):
+            target = rng.randrange(r)
+            if kind == "repeated":
+                rows[target] = list(rows[rng.randrange(r)])
+            else:
+                rows[target] = [Fraction(0)] * c
+    return ExactMatrix.from_rows(rows)
+
+
+def check_reduction(matrix):
+    """The integer basis reduction against the Gauss-Jordan oracle: the
+    same basis, C and |det B|; the same integer rows and scales of C that
+    the sampled engine lifted per row; and, for the walk, the same
+    integer walked rows (C's rows, or its columns when C is wide, each
+    over the lcm of its denominators)."""
+    ctx = _build_context(matrix)
+    expected = gauss_jordan_basis(matrix)
+    if expected is None:
+        assert ctx is None
+        return
+    basis, coord, abs_det_b = expected
+    assert Fraction(ctx.den, ctx.det_scale) == abs_det_b
+    assert [i for i, p in enumerate(ctx.basis_pos) if p >= 0] == basis
+    assert [p for p in ctx.basis_pos if p >= 0] == list(range(matrix.cols))
+    assert ctx.den > 0
+    assert [[Fraction(x, ctx.den) for x in row] for row in ctx.coord] == [list(row) for row in coord]
+    assert [_over(row, ctx.den) for row in ctx.coord] == [lift_row(row) for row in coord]
+    walked = list(zip(*coord)) if coord and len(coord[0]) > len(coord) else coord
+    seen = []
+
+    def visit(node, subsets, minors, scale):
+        seen.append((minors, scale))
+        return False
+
+    _laplace_walk(ctx.coord, ctx.den, visit)
+    assert seen == [lift_row(row) for row in walked]
 
 
 square_matrices = st.integers(1, 5).flatmap(
@@ -336,6 +477,76 @@ class TestExactMatrix:
         product = matmul(ExactMatrix.from_rows(a_rows), ExactMatrix.from_rows(b_rows))
         assert product.to_lists() == fraction_sum_product(a_rows, b_rows)
         assert all(isinstance(x, Fraction) for row in product.entries for x in row)
+
+
+class TestBasisReduction:
+    @settings(max_examples=300)
+    @given(reduction_inputs())
+    def test_matches_the_gauss_jordan_oracle(self, matrix):
+        check_reduction(matrix)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(random_rational_matrices, id="random-rational"),
+            pytest.param(lambda: product_matrices(5, low_rank_shape), id="low-rank"),
+            pytest.param(lambda: product_matrices(6, square_shape), id="square"),
+            pytest.param(lambda: planted_m6([(-1, 2), (3, -2)]), id="planted-290"),
+            pytest.param(
+                lambda: [coefficient_matrix(family_polys(m), m) for m in (6, 16, 20, 40)],
+                id="family",
+            ),
+        ],
+    )
+    def test_seeded_matrices_match_the_oracle(self, build):
+        for matrix in build():
+            check_reduction(matrix)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32))
+    def test_determinant_matches_forward_elimination(self, n, rank, seed):
+        """_bareiss_det, the last pivot of the Gauss-Jordan reduction,
+        against Bareiss's forward elimination, singular matrices of every
+        rank below n included."""
+        rng = random.Random(seed)
+        k = min(rank, n)
+        if k < n:
+            left = [[rng.randint(-30, 30) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(row[p] * right[p][j] for p in range(k)) for j in range(n)]
+                    for row in left]
+        else:
+            rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        expected = forward_bareiss_det(rows)
+        assert _bareiss_det(rows) == expected
+        if k < n:
+            assert expected == 0
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_reduced_rows_are_the_last_pivot_times_the_coordinates(self, n, width, data):
+        """The pivot rows hold the last pivot P times the identity in the
+        pivot columns and P times their coordinates elsewhere: row k of the
+        reduction, over P, is the coordinate of each column on pivot
+        column k, checked against the input's columns."""
+        rows = [[data.draw(st.integers(-3, 3)) for _ in range(width)] for _ in range(n)]
+        original = [row[:] for row in rows]
+        pivots, reduced, det = _bareiss_reduce(rows)
+        assert rows == original
+        if not pivots:
+            assert all(x == 0 for row in rows for x in row)
+            return
+        last = reduced[0][pivots[0]]
+        assert abs(det) == abs(last)
+        rank = len(pivots)
+        for k in range(rank):
+            assert [reduced[k][j] for j in pivots] == [last * (i == k) for i in range(rank)]
+        assert all(x == 0 for row in reduced[rank:] for x in row)
+        for j in range(width):
+            column = [Fraction(sum(Fraction(reduced[k][j], last) * rows[i][p]
+                                   for k, p in enumerate(pivots)))
+                      for i in range(n)]
+            assert column == [rows[i][j] for i in range(n)]
 
 
 class TestDeterminant:

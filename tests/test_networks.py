@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +27,7 @@ from totalpos import (
     weight_matrix,
 )
 from totalpos.matrices import ExactMatrix
-from totalpos.networks import PathCollection, Vertex, _boundary_pairs
+from totalpos.networks import PathCollection, Vertex, _boundary_pairs, _integer_lift
 from totalpos.three_section import SectionWeights, weight_key_set
 
 
@@ -318,6 +320,28 @@ class TestValidation:
         assert hash(tiny_net()) == hash(tiny_net())
         assert tiny_net() != build_grid(1, 1)
 
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_grid(2, 2), lambda: build_three_section(standard_weights(6))],
+        ids=["grid", "three-section"],
+    )
+    def test_copies_rebuild_an_equal_network(self, duplicate, build):
+        """A copy is built anew from the vertices, edges and boundaries, so
+        its caches start empty even when the original's are filled."""
+        net = build()
+        expected = weight_matrix(net)
+        found = find_positive_collection(net, (1, 2), (1, 2))
+        twin = duplicate(net)
+        assert twin == net and twin is not net
+        assert (twin._lift, twin._routes, twin._trail) == (None, {}, [])
+        assert weight_matrix(twin) == expected
+        assert find_positive_collection(twin, (1, 2), (1, 2)) == found
+
 
 class TestPathWeights:
     def test_weight_matrix_of_tiny_net(self):
@@ -426,6 +450,18 @@ BUILT_IN_NETWORKS = (
 class TestIntegerLift:
     """weight_matrix and lgv_oracle_minor run on the integer lift; the
     Fraction oracles above run on the network itself."""
+
+    def test_lift_is_built_once_per_network(self):
+        """Every consumer reads the one lift, and witness routing numbers
+        vertices by its index."""
+        net = build_three_section(standard_weights(8))
+        lift = _integer_lift(net)
+        weight_matrix(net)
+        lgv_oracle_minor(net, (1, 2), (1, 2))
+        find_positive_collection(net, (1, 2), (1, 2))
+        assert _integer_lift(net) is lift
+        assert net._routes_to(net.sinks[0])[0] is lift[0]
+        assert _integer_lift(build_three_section(standard_weights(8))) is not lift
 
     def test_random_networks_cover_the_hard_cases(self):
         skips = zeros = negatives = fractions = mixed_columns = 0
