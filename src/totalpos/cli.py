@@ -26,6 +26,7 @@ from .errors import (
 )
 from .families import (
     block_determinants,
+    certified_general_position,
     general_position,
     sign_factorization_check,
     verify_network_equals_block_matrix,
@@ -98,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="required in sampled mode")
     p.add_argument("--sample-count", type=int, default=None,
                    help="sampled subsets (default: 100000, or all when fewer)")
-    p.add_argument("--budget", type=int, default=10**7, help="exhaustive subset budget")
+    p.add_argument("--budget", type=int, default=10**7,
+                   help="subset budget of the exhaustive walk, which runs only "
+                   "when the positive-Grassmannian certificate is refused")
     add_common(p)
 
     p = sub.add_parser("network", help="export the standard network")
@@ -173,13 +176,10 @@ def _cmd_verify(args) -> tuple[str, bool]:
     det_ok = all(d == 1 for d in dets)
     sign_ok = sign_factorization_check(m)
     net_ok = verify_network_equals_block_matrix(m)
-    report = general_position(
-        m,
-        mode=args.mode,
-        seed=seed,
-        sample_count=sample_count,
-        exhaustive_limit=args.budget,
-    )
+    if args.mode == "sampled":
+        report = general_position(m, mode="sampled", seed=seed, sample_count=sample_count)
+    else:
+        report = certified_general_position(m, exhaustive_limit=args.budget)
     checks = [
         {"name": "sign_factorization", "pass": sign_ok},
         {

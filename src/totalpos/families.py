@@ -16,8 +16,9 @@ nonnegativity.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,6 +27,7 @@ from .matrices import (
     GeneralPositionReport,
     _int_lift,
     _laplace_walk,
+    _positive_grassmannian,
     determinant,
     diagonal,
     matmul,
@@ -45,6 +47,7 @@ __all__ = [
     "sign_factorization_check",
     "verify_network_equals_block_matrix",
     "general_position",
+    "certified_general_position",
     "positive_minor_scan",
     "PositiveMinorReport",
 ]
@@ -144,8 +147,9 @@ def general_position(
 ) -> GeneralPositionReport:
     """Scan all (or sampled) m-subsets of the family for linear dependence.
 
-    The default exhaustive budget C(3t, m) <= 10^7 covers m <= 18; larger
-    m must use sampled mode.
+    The default exhaustive budget C(3t, m) <= 10^7 covers m <= 18; beyond
+    it, certified_general_position proves what this scan would, and
+    sampled mode draws evidence.
     """
     matrix = coefficient_matrix(family_polys(m), m)
     return maximal_minor_scan(
@@ -154,6 +158,35 @@ def general_position(
         seed=seed,
         sample_count=sample_count,
         exhaustive_limit=exhaustive_limit,
+    )
+
+
+def _row_order(m: int) -> list[int]:
+    """Rows 1..t, 3t, 3t-1, ..., 2t+1, then t+1..2t, 0-based: the order in
+    which the family reduces to a totally positive coordinate matrix."""
+    t = _check_even(m)
+    return [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
+
+
+def certified_general_position(m: int, exhaustive_limit: int = 10**7) -> GeneralPositionReport:
+    """general_position(m)'s exhaustive report for any even m, from the
+    positive-Grassmannian certificate (matrices._positive_grassmannian) in
+    the family's row order: no walk, every C(3t, m) subset covered.
+
+    When the certificate is refused, the exhaustive walk runs within
+    exhaustive_limit (ScanBudgetError past it), and its report carries
+    the refused certificate.
+    """
+    t0 = time.perf_counter()
+    matrix = coefficient_matrix(family_polys(m), m)
+    cert = _positive_grassmannian(matrix, _row_order(m))
+    if cert.refusal is not None:
+        report = maximal_minor_scan(matrix, exhaustive_limit=exhaustive_limit)
+        return replace(report, certificate=cert)
+    total = math.comb(matrix.rows, m)
+    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    return GeneralPositionReport(
+        total, total, "exhaustive", (), cert.det_basis, elapsed_ms, certificate=cert
     )
 
 

@@ -1,8 +1,19 @@
 """Exact matrices over the rationals.
 
-One fraction-free (Bareiss) elimination for determinants and the scan's
-basis reduction, minor queries, total-nonnegativity/positivity scans,
-and the maximal-minor scan engine that backs general-position certificates.
+One fraction-free (Bareiss) elimination for determinants (forward only)
+and the scan's basis reduction (Gauss-Jordan), minor queries,
+total-nonnegativity/positivity scans, the positive-Grassmannian
+certificate of general position, and the maximal-minor scan engine
+that backs general-position certificates without one.
+
+The certificate (_positive_grassmannian) proves that no maximal minor
+vanishes without enumerating them: in a given row order the basis must
+be the first rows, the coordinates C of the rest must be integers whose
+sign pattern has rank one, and every solid minor of the sign-flipped C',
+taken level by level by Dodgson condensation, must be positive.  Those
+include the initial minors, so C' is totally positive, and every
+maximal minor is +-det B times a minor of C'.  The cost is one basis
+reduction and about t^2 m / 3 integer updates for a t x m matrix C.
 
 One walk enumerates minors for every exhaustive scan (_laplace_walk).
 It visits row prefixes depth first.  A node holds every minor on its
@@ -70,6 +81,7 @@ __all__ = [
     "MinorWitness",
     "ScanVerdict",
     "GeneralPositionReport",
+    "TPCertificate",
     "determinant",
     "minor",
     "matmul",
@@ -153,7 +165,9 @@ def _over(row: Sequence[int], den: int) -> tuple[list[int], int]:
     return [x // g for x in row], den // g
 
 
-def _bareiss_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], int]:
+def _bareiss_reduce(
+    rows: Sequence[Sequence[int]], *, forward: bool = False
+) -> tuple[list[int], list[list[int]], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss,
     Math. Comp. 22, 1968): (pivot columns, reduced rows, det).
 
@@ -164,7 +178,9 @@ def _bareiss_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list
     pivot (1 at first); each entry is a minor, so the division is exact.
     The pivot rows end with the last pivot P times the identity in the
     pivot columns and P times their coordinates over those elsewhere; det
-    is P times the sign of the row exchanges.
+    is P times the sign of the row exchanges.  With forward, only the rows
+    below each pivot are updated (plain Bareiss elimination): the rows
+    come out echelon, not reduced, and det is the same.
     """
     a = [list(row) for row in rows]
     n = len(a)
@@ -174,27 +190,30 @@ def _bareiss_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list
         k = len(pivots)
         if k == n:
             break
-        p = next((i for i in range(k, n) if a[i][j]), None)
-        if p is None:
-            continue
-        if p != k:
+        if not a[k][j]:
+            p = next((i for i in range(k + 1, n) if a[i][j]), None)
+            if p is None:
+                continue
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[j]
-        for i in range(n):
+        lo = j + 1 if forward else 0
+        tail = pivot_row[lo:]
+        for i in range(k + 1 if forward else 0, n):
             if i != k:
-                f = a[i][j]
-                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], pivot_row)]
+                row = a[i]
+                f = row[j]
+                row[lo:] = [(x * pivot - f * y) // prev for x, y in zip(row[lo:], tail)]
         prev = pivot
         pivots.append(j)
     return pivots, a, sign * prev
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant: _bareiss_reduce's, or 0 when a column has
-    no pivot."""
-    pivots, _, det = _bareiss_reduce(rows)
+    """Exact integer determinant: forward _bareiss_reduce's, or 0 when a
+    column has no pivot."""
+    pivots, _, det = _bareiss_reduce(rows, forward=True)
     return det if len(pivots) == len(rows) else 0
 
 
@@ -433,6 +452,48 @@ def is_totally_positive(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVer
 
 
 @dataclass(frozen=True)
+class TPCertificate:
+    """A positive-Grassmannian certificate (_positive_grassmannian), or the
+    condition that refused it.
+
+    row_order is M's rows (0-based) in reduction order; C' is the sign-
+    flipped coordinate matrix; initial_minors holds (top row, left column,
+    size, minor) of every solid minor of C' in its first row or column.
+    A refusal is (condition, rows, cols) with 0-based indices into C';
+    both are empty for "basis".
+    """
+
+    row_order: tuple[int, ...]
+    solid_minors: int = 0  # computed, up to a refusal
+    refusal: Optional[tuple[str, tuple[int, ...], tuple[int, ...]]] = None
+    row_signs: tuple[int, ...] = ()
+    col_signs: tuple[int, ...] = ()
+    matrix: tuple[tuple[int, ...], ...] = ()  # C'
+    initial_minors: tuple[tuple[int, int, int, int], ...] = ()
+    det_basis: Optional[Fraction] = None  # |det B|
+
+    def to_json_dict(self) -> dict:
+        refused = None
+        if self.refusal is not None:
+            condition, rows, cols = self.refusal
+            refused = {
+                "condition": condition,
+                "rows": [i + 1 for i in rows],
+                "cols": [j + 1 for j in cols],
+            }
+        return {
+            "row_order": [i + 1 for i in self.row_order],
+            "row_signs": list(self.row_signs),
+            "col_signs": list(self.col_signs),
+            "solid_minors": self.solid_minors,
+            "least_initial_minor": None if refused else str(
+                min(x for *_, x in self.initial_minors)
+            ),
+            "refused": refused,
+        }
+
+
+@dataclass(frozen=True)
 class GeneralPositionReport:
     total_subsets: int
     checked_subsets: int
@@ -442,16 +503,32 @@ class GeneralPositionReport:
     elapsed_ms: int
     seed: Optional[int] = None
     sample_count: Optional[int] = None
+    certificate: Optional[TPCertificate] = None  # tried before the walk
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def method(self) -> str:
+        if self.mode == "sampled":
+            return "sampled"
+        if self.certificate is not None and self.certificate.refusal is None:
+            return "positive-grassmannian"
+        return "laplace-walk"
+
+    @property
+    def claim(self) -> str:
+        """Whether every subset is covered ("proved") or a sample ("sampled")."""
+        return "sampled" if self.mode == "sampled" else "proved"
 
     def to_json_dict(self) -> dict:
         out: dict = {
             "total_subsets": self.total_subsets,
             "checked_subsets": self.checked_subsets,
             "mode": self.mode,
+            "method": self.method,
+            "claim": self.claim,
         }
         if self.mode == "sampled":
             out["seed"] = self.seed
@@ -462,6 +539,8 @@ class GeneralPositionReport:
             if self.min_abs_nonzero_det is not None
             else None
         )
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json_dict()
         out["elapsed_ms"] = self.elapsed_ms
         return out
 
@@ -635,6 +714,60 @@ def _build_context(matrix: ExactMatrix):
         basis_pos[i] = pos
     coord = tuple(tuple(sign * row[i] for row in work) for i in range(r) if basis_pos[i] < 0)
     return _BasisContext(r, c, tuple(basis_pos), coord, abs(last), scale**c)
+
+
+def _positive_grassmannian(matrix: ExactMatrix, order: Sequence[int]) -> TPCertificate:
+    """A proof that no maximal minor of M (r x c, r > c) vanishes, by total
+    positivity of its coordinate matrix, or the condition that refuses it.
+
+    M's rows are reduced in the given order (_build_context), and the basis
+    B must be the first c of them.  C, the coordinates of the other rows
+    in B (columns in B's order), must be integral: den divides every
+    entry of coord.  The signs r_i = sign C[i][0] and c_j = sign(r_0
+    C[0][j]) must make every entry of C' = (r_i c_j C[i][j]) positive, so
+    C's sign pattern has rank one ("sign").  Then every solid (contiguous
+    square) minor of C' is computed level by level by Dodgson condensation
+    (the Desnanot-Jacobi identity), each level dividing exactly by the
+    positive level two below, and must be positive ("minor").  These
+    include the initial minors (those in C''s first row or column), so
+    C' is totally positive (Gasca and Pena, Linear Algebra Appl. 165,
+    1992).  Every maximal minor of M is +-det B times a minor of C, so none
+    vanishes, and as each nonempty minor of C' is an integer >= 1 and the
+    all-basis subset has the empty minor 1, the least |maximal minor| is
+    |det B| = den / det_scale.
+    """
+    c = matrix.cols
+    order = tuple(order)
+    ctx = _build_context(ExactMatrix(tuple(matrix.entries[i] for i in order)))
+    if ctx is None or ctx.basis_pos[:c] != tuple(range(c)):
+        return TPCertificate(order, refusal=("basis", (), ()))
+    for i, row in enumerate(ctx.coord):
+        for j, x in enumerate(row):
+            if x % ctx.den:
+                return TPCertificate(order, refusal=("integral", (i,), (j,)))
+    coord = [[x // ctx.den for x in row] for row in ctx.coord]
+    row_signs = tuple(1 if row[0] > 0 else -1 for row in coord)
+    col_signs = tuple(1 if row_signs[0] * x > 0 else -1 for x in coord[0])
+    level = [[r * s * x for s, x in zip(col_signs, row)] for r, row in zip(row_signs, coord)]
+    done = functools.partial(TPCertificate, order, row_signs=row_signs, col_signs=col_signs,
+                             matrix=tuple(map(tuple, level)))
+    below = [[1] * (c + 1)] * (len(level) + 1)  # level 0: the empty minors
+    count, initial = 0, []
+    for k in range(1, min(len(level), c) + 1):
+        if k > 1:
+            level, below = [
+                [(a[j] * b[j + 1] - a[j + 1] * b[j]) // d[j + 1] for j in range(len(a) - 1)]
+                for a, b, d in zip(level, level[1:], below[1:])
+            ], level
+        count += len(level) * len(level[0])
+        if min(map(min, level)) <= 0:
+            i, j = next((i, j) for i, row in enumerate(level) for j, x in enumerate(row) if x <= 0)
+            refusal = ("sign" if k == 1 else "minor", tuple(range(i, i + k)), tuple(range(j, j + k)))
+            return done(solid_minors=count, refusal=refusal)
+        initial += [(0, j, k, x) for j, x in enumerate(level[0])]
+        initial += [(i, 0, k, row[0]) for i, row in enumerate(level[1:], 1)]
+    return done(solid_minors=count, initial_minors=tuple(initial),
+                det_basis=Fraction(ctx.den, ctx.det_scale))
 
 
 def _per_subset_scan(ctx, ranks):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -59,10 +60,30 @@ class TestVerify:
         assert code == 2
         assert "error" in payload
 
-    def test_budget_overflow_is_a_usage_error(self, capsys):
+    def test_budget_bounds_only_the_fallback_walk(self, capsys):
+        """C(30, 20) subsets are over the budget, but the certificate proves
+        them all without the walk."""
+        code, cert = run_json(capsys, ["verify", "--m", "20", "--budget", "1000"])
+        assert code == 0
+        gp = cert["checks"][3]["report"]
+        assert (gp["method"], gp["claim"], gp["mode"]) == (
+            "positive-grassmannian", "proved", "exhaustive")
+        assert gp["total_subsets"] == gp["checked_subsets"] == 30045015
+        assert gp["failures"] == []
+
+    def test_refused_certificate_past_the_budget_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("totalpos.families._row_order", lambda m: list(range(3 * m // 2)))
         code, payload = run_json(capsys, ["verify", "--m", "20", "--budget", "1000"])
         assert code == 2
-        assert "error" in payload
+        assert "exceeds the budget 1000" in payload["error"]
+
+    @pytest.mark.parametrize("m", [64, 100])
+    def test_large_m_is_proved(self, capsys, m):
+        code, cert = run_json(capsys, ["verify", "--m", str(m)])
+        assert code == 0 and cert["pass"] is True
+        gp = cert["checks"][3]["report"]
+        assert (gp["method"], gp["claim"], gp["failures"]) == ("positive-grassmannian", "proved", [])
+        assert gp["total_subsets"] == gp["checked_subsets"] == math.comb(3 * m // 2, m)
 
     def test_sampled_mode_with_seed(self, capsys):
         code, cert = run_json(
@@ -71,7 +92,7 @@ class TestVerify:
         )
         assert code == 0
         gp = cert["checks"][3]["report"]
-        assert gp["mode"] == "sampled"
+        assert (gp["mode"], gp["method"], gp["claim"]) == ("sampled", "sampled", "sampled")
         assert gp["checked_subsets"] == 200
 
     def test_default_sample_count_is_clamped_to_the_subsets(self, capsys):
@@ -231,7 +252,8 @@ class TestExtend:
         assert code == 0
         report = next(c for c in cert["checks"] if c["name"] == "general_position")["report"]
         assert report["checked_subsets"] == report["total_subsets"] == 54264
-        assert report["mode"] == "exhaustive"
+        assert (report["mode"], report["method"], report["claim"]) == (
+            "exhaustive", "laplace-walk", "proved")
         assert report["failures"] == []
 
     def test_m8_is_over_the_exhaustive_budget(self, capsys):

@@ -29,8 +29,8 @@ from totalpos import (
     verify_network_equals_block_matrix,
     weight_matrix,
 )
-from totalpos.families import PositiveMinorReport
-from totalpos.matrices import _build_context
+from totalpos.families import PositiveMinorReport, certified_general_position
+from totalpos.matrices import _build_context, _positive_grassmannian, maximal_minor_scan
 
 from test_networks import positive_collection_oracle
 
@@ -251,6 +251,120 @@ class TestGeneralPosition:
         assert rep.ok
         assert rep.checked_subsets == 300
         assert rep.mode == "sampled"
+
+
+def stacked(coords):
+    """[I; C]: the identity over the rows of coords, so that C is its own
+    coordinate matrix in the basis of the first rows."""
+    c = len(coords[0])
+    return ExactMatrix.from_rows([[int(i == j) for j in range(c)] for i in range(c)] + coords)
+
+
+class TestPositiveGrassmannianCertificate:
+    @pytest.mark.parametrize("m", range(2, 20, 2))
+    def test_matches_the_exhaustive_walk(self, m):
+        """Every even m <= 18: the certificate proves what the walk finds,
+        with the same subset count, no failures and the same min |det|."""
+        walk = general_position(m)
+        rep = certified_general_position(m)
+        assert (rep.total_subsets, rep.checked_subsets, rep.failures) == (
+            walk.total_subsets, walk.checked_subsets, walk.failures) == (
+            math.comb(3 * m // 2, m), math.comb(3 * m // 2, m), ())
+        assert rep.min_abs_nonzero_det == walk.min_abs_nonzero_det == 1
+        d = rep.to_json_dict()
+        assert (d["mode"], d["method"], d["claim"]) == ("exhaustive", "positive-grassmannian", "proved")
+        assert d["certificate"]["refused"] is None
+        assert walk.to_json_dict()["method"] == "laplace-walk"
+
+    def test_m16_certificate(self):
+        cert = certified_general_position(16).to_json_dict()["certificate"]
+        assert cert["row_order"] == [*range(1, 9), *range(24, 16, -1), *range(9, 17)]
+        assert cert["row_signs"] == [1, -1] * 4
+        assert cert["col_signs"] == [1, -1] * 8
+        assert cert["solid_minors"] == 492  # sum of (9-k)(17-k), k = 1..8
+        assert cert["least_initial_minor"] == "1"
+
+    @pytest.mark.parametrize("m", range(4, 42, 2))
+    def test_initial_minors_are_determinants_of_the_coordinates(self, m):
+        """C', unflipped by the recorded signs, is the coordinate matrix of
+        rows t+1..2t in the basis of the first 2t reordered rows (C * B
+        equals those rows), and each of the t*m recorded initial minors is
+        the determinant of its contiguous submatrix of C'."""
+        t = m // 2
+        M = coefficient_matrix(family_polys(m), m)
+        order = [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
+        cert = _positive_grassmannian(M, order)
+        assert cert.refusal is None and cert.row_order == tuple(order)
+        coords = ExactMatrix.from_rows(
+            [r * s * x for s, x in zip(cert.col_signs, row)]
+            for r, row in zip(cert.row_signs, cert.matrix)
+        )
+        basis = M.submatrix(order[:m], range(m))
+        assert matmul(coords, basis) == M.submatrix(order[m:], range(m))
+        C = ExactMatrix.from_rows(cert.matrix)
+        assert len(cert.initial_minors) == t * m
+        assert {(i, j) for i, j, _, _ in cert.initial_minors} == (
+            {(0, j) for j in range(m)} | {(i, 0) for i in range(t)})
+        for i, j, k, value in cert.initial_minors:
+            assert min(i, j) == 0
+            assert determinant(C.submatrix(range(i, i + k), range(j, j + k))) == value > 0
+
+    @pytest.mark.parametrize(
+        "coords, refused",
+        [
+            # Positive; the only vanishing 2x2 minor, on columns 1 and 3, is
+            # not contiguous, so a solid one must fail: columns 2, 3 give -1.
+            ([[1, 1, 1], [1, 2, 1]], ("minor", [1, 2], [2, 3])),
+            # The sign pattern is not rank one: no flip makes (2, 2) positive.
+            ([[1, 1], [1, -1]], ("sign", [2], [2])),
+            ([[Fraction(1, 2), 1]], ("integral", [1], [1])),
+        ],
+        ids=["non-contiguous-zero", "sign-pattern", "non-integral"],
+    )
+    def test_planted_refusals_name_the_failing_condition(self, coords, refused):
+        M = stacked(coords)
+        cert = _positive_grassmannian(M, range(M.rows))
+        condition, rows, cols = refused
+        assert cert.to_json_dict()["refused"] == {"condition": condition, "rows": rows, "cols": cols}
+        assert cert.to_json_dict()["least_initial_minor"] is None
+
+    def test_a_basis_out_of_place_is_refused(self):
+        """Rows 1 and 2 are dependent, so the basis skips row 2; in the
+        order 1, 3, 2 the dependence is a zero coordinate."""
+        M = ExactMatrix.from_rows([[1, 1], [2, 2], [1, 2]])
+        assert _positive_grassmannian(M, [0, 1, 2]).refusal == ("basis", (), ())
+        assert _positive_grassmannian(M, [0, 2, 1]).refusal == ("sign", (0,), (1,))
+
+    def test_refused_family_falls_back_to_the_walk(self, monkeypatch):
+        """A family with a repeated member: the certificate is refused, and
+        the report is the walk's, with the refusal attached."""
+        polys = family_polys(6)
+        planted = polys[:3] + (polys[1],) + polys[4:]
+        monkeypatch.setattr(totalpos.families, "family_polys", lambda m: planted)
+        rep = certified_general_position(6)
+        walk = maximal_minor_scan(coefficient_matrix(planted, 6))
+        assert rep.certificate.refusal is not None
+        assert rep.failures == walk.failures and len(walk.failures) == math.comb(7, 4)
+        assert (rep.total_subsets, rep.checked_subsets, rep.min_abs_nonzero_det) == (
+            walk.total_subsets, walk.checked_subsets, walk.min_abs_nonzero_det)
+        d = rep.to_json_dict()
+        assert (d["method"], d["claim"]) == ("laplace-walk", "proved")
+        assert d["certificate"]["refused"]["condition"] in ("sign", "minor")
+        with pytest.raises(ScanBudgetError):
+            certified_general_position(6, exhaustive_limit=50)
+
+    def test_refusal_in_general_position_gives_the_clean_walk(self, monkeypatch):
+        """A row order the certificate cannot use, on the true family: the
+        walk runs and finds no failure; past the budget it is refused."""
+        monkeypatch.setattr(totalpos.families, "_row_order", lambda m: list(range(3 * m // 2)))
+        rep = certified_general_position(8)
+        assert rep.certificate.refusal is not None
+        walk = general_position(8)
+        assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == (
+            (), walk.min_abs_nonzero_det, walk.checked_subsets)
+        assert rep.method == "laplace-walk"
+        with pytest.raises(ScanBudgetError):
+            certified_general_position(20, exhaustive_limit=10**6)
 
 
 class TestPositiveMinorScan:

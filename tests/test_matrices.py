@@ -505,9 +505,10 @@ class TestBasisReduction:
     @settings(max_examples=300)
     @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32))
     def test_determinant_matches_forward_elimination(self, n, rank, seed):
-        """_bareiss_det, the last pivot of the Gauss-Jordan reduction,
-        against Bareiss's forward elimination, singular matrices of every
-        rank below n included."""
+        """_bareiss_det, the last pivot of the forward reduction, against
+        Bareiss's forward elimination, singular matrices of every rank
+        below n included; the Gauss-Jordan reduction finds the same pivots
+        and determinant."""
         rng = random.Random(seed)
         k = min(rank, n)
         if k < n:
@@ -519,6 +520,8 @@ class TestBasisReduction:
             rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
         expected = forward_bareiss_det(rows)
         assert _bareiss_det(rows) == expected
+        pivots, _, det = _bareiss_reduce(rows, forward=True)
+        assert (pivots, det) == (_bareiss_reduce(rows)[0], _bareiss_reduce(rows)[2])
         if k < n:
             assert expected == 0
 
