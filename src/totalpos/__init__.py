@@ -7,7 +7,6 @@ __version__ = "1.0.0"
 
 from .errors import (
     EnumerationBudgetError,
-    NetworkFormatError,
     ScanBudgetError,
     SearchExhaustedError,
 )
@@ -15,7 +14,6 @@ from .families import (
     PositiveMinorReport,
     binomial_block_matrix,
     block_determinants,
-    certified_general_position,
     coefficient_matrix,
     family_polys,
     general_position,
@@ -33,7 +31,6 @@ from .matrices import (
     TPCertificate,
     determinant,
     diagonal,
-    identity,
     is_totally_nonnegative,
     is_totally_positive,
     matmul,
@@ -43,13 +40,9 @@ from .matrices import (
 from .networks import (
     PathCollection,
     PlanarNetwork,
-    build_grid,
-    count_paths,
     export_dot,
     export_json,
     find_positive_collection,
-    import_json,
-    iter_paths,
     lgv_oracle_minor,
     weight_matrix,
 )
@@ -59,7 +52,6 @@ from .scalars import (
     SaalschuetzCheck,
     binomial,
     format_rational,
-    parse_rational,
     pochhammer,
     saalschuetz_check,
 )
@@ -69,7 +61,6 @@ from .surface import (
     FamilyConstants,
     SearchResult,
     WeierstrassData,
-    constants_from_extras,
     ext_i,
     ext_rational,
     ext_sigma,
@@ -84,11 +75,9 @@ from .three_section import (
     LemmaPathReport,
     PairCheck,
     SectionWeights,
-    ascent_level_product,
     build_three_section,
     closed_form_entry,
     closed_form_matrix,
-    extract_weights,
     lemma_path_report,
     standard_weights,
     w_ab_formula,
@@ -100,7 +89,6 @@ __all__ = [
     "__version__",
     # errors
     "EnumerationBudgetError",
-    "NetworkFormatError",
     "ScanBudgetError",
     "SearchExhaustedError",
     # scalars
@@ -108,7 +96,6 @@ __all__ = [
     "SaalschuetzCheck",
     "binomial",
     "format_rational",
-    "parse_rational",
     "pochhammer",
     "saalschuetz_check",
     # matrices
@@ -120,7 +107,6 @@ __all__ = [
     "TPCertificate",
     "determinant",
     "diagonal",
-    "identity",
     "is_totally_nonnegative",
     "is_totally_positive",
     "matmul",
@@ -131,24 +117,18 @@ __all__ = [
     # networks
     "PathCollection",
     "PlanarNetwork",
-    "build_grid",
-    "count_paths",
     "export_dot",
     "export_json",
     "find_positive_collection",
-    "import_json",
-    "iter_paths",
     "lgv_oracle_minor",
     "weight_matrix",
     # three-section network
     "LemmaPathReport",
     "PairCheck",
     "SectionWeights",
-    "ascent_level_product",
     "build_three_section",
     "closed_form_entry",
     "closed_form_matrix",
-    "extract_weights",
     "lemma_path_report",
     "standard_weights",
     "w_ab_formula",
@@ -158,7 +138,6 @@ __all__ = [
     "PositiveMinorReport",
     "binomial_block_matrix",
     "block_determinants",
-    "certified_general_position",
     "coefficient_matrix",
     "family_polys",
     "general_position",
@@ -172,7 +151,6 @@ __all__ = [
     "FamilyConstants",
     "SearchResult",
     "WeierstrassData",
-    "constants_from_extras",
     "ext_i",
     "ext_rational",
     "ext_sigma",

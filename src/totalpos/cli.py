@@ -14,19 +14,16 @@ import json
 import math
 import random
 import sys
-import time
 from typing import Optional
 
 from . import __version__
 from .errors import (
     EnumerationBudgetError,
-    NetworkFormatError,
     ScanBudgetError,
     SearchExhaustedError,
 )
 from .families import (
     block_determinants,
-    certified_general_position,
     general_position,
     sign_factorization_check,
     verify_network_equals_block_matrix,
@@ -67,17 +64,6 @@ def _even_m(text: str) -> int:
     if value < 2 or value % 2:
         raise argparse.ArgumentTypeError("m must be an even integer >= 2")
     return value
-
-
-def _m_list(text: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(_even_m(piece))
-    if not out:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of even m")
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,13 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-limit", type=int, default=512)
     add_common(p)
 
-    p = sub.add_parser("bench", help="time general-position scans")
-    p.add_argument("--m-list", type=_m_list, required=True, metavar="M1,M2,...")
-    p.add_argument("--seed", type=int, default=0, help="seed when a scan falls back to sampling")
-    p.add_argument("--sample-count", type=int, default=10**5)
-    p.add_argument("--budget", type=int, default=10**7, help="exhaustive subset budget")
-    add_common(p)
-
     return parser
 
 
@@ -176,10 +155,9 @@ def _cmd_verify(args) -> tuple[str, bool]:
     det_ok = all(d == 1 for d in dets)
     sign_ok = sign_factorization_check(m)
     net_ok = verify_network_equals_block_matrix(m)
-    if args.mode == "sampled":
-        report = general_position(m, mode="sampled", seed=seed, sample_count=sample_count)
-    else:
-        report = certified_general_position(m, exhaustive_limit=args.budget)
+    report = general_position(
+        m, args.mode, seed=seed, sample_count=sample_count, exhaustive_limit=args.budget
+    )
     checks = [
         {"name": "sign_factorization", "pass": sign_ok},
         {
@@ -331,51 +309,12 @@ def _cmd_extend(args) -> tuple[str, bool]:
     return json.dumps(cert, indent=2) + "\n", cert["pass"]
 
 
-def _cmd_bench(args) -> tuple[str, bool]:
-    results = []
-    for m in args.m_list:
-        total = math.comb(3 * (m // 2), m)
-        t0 = time.perf_counter()
-        if total <= args.budget:
-            report = general_position(m, exhaustive_limit=args.budget)
-        else:
-            report = general_position(
-                m,
-                mode="sampled",
-                seed=args.seed,
-                sample_count=min(args.sample_count, total),
-            )
-        elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-        results.append(
-            {
-                "name": f"general_position_m{m}",
-                "m": m,
-                "t": m // 2,
-                "mode": report.mode,
-                "total_subsets": report.total_subsets,
-                "checked_subsets": report.checked_subsets,
-                "pass": report.ok,
-                "elapsed_ms": elapsed_ms,
-            }
-        )
-    cert = _certificate(
-        "bench",
-        None,
-        None,
-        args.seed,
-        results,
-        m_list=list(args.m_list),
-    )
-    return json.dumps(cert, indent=2) + "\n", cert["pass"]
-
-
 _HANDLERS = {
     "verify": _cmd_verify,
     "network": _cmd_network,
     "lemmas": _cmd_lemmas,
     "lgv-check": _cmd_lgv_check,
     "extend": _cmd_extend,
-    "bench": _cmd_bench,
 }
 
 
@@ -396,7 +335,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         ScanBudgetError,
         EnumerationBudgetError,
         SearchExhaustedError,
-        NetworkFormatError,
         ValueError,
     ) as exc:
         _emit(json.dumps({"error": str(exc)}) + "\n", args.output)

@@ -12,10 +12,6 @@ class EnumerationBudgetError(RuntimeError):
     """A path-collection enumeration or search would exceed its budget."""
 
 
-class NetworkFormatError(ValueError):
-    """Serialized network data is malformed; message carries the position."""
-
-
 class SearchExhaustedError(RuntimeError):
     """Constant search ran out of candidates; carries the partial result."""
 

@@ -47,7 +47,6 @@ __all__ = [
     "sign_factorization_check",
     "verify_network_equals_block_matrix",
     "general_position",
-    "certified_general_position",
     "positive_minor_scan",
     "PositiveMinorReport",
 ]
@@ -137,6 +136,13 @@ def verify_network_equals_block_matrix(m: int) -> bool:
     return weight_matrix(net) == binomial_block_matrix(m)
 
 
+def _row_order(m: int) -> list[int]:
+    """Rows 1..t, 3t, 3t-1, ..., 2t+1, then t+1..2t, 0-based: the order in
+    which the family reduces to a totally positive coordinate matrix."""
+    t = _check_even(m)
+    return [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
+
+
 def general_position(
     m: int,
     mode: str = "exhaustive",
@@ -145,40 +151,27 @@ def general_position(
     sample_count: Optional[int] = None,
     exhaustive_limit: int = 10**7,
 ) -> GeneralPositionReport:
-    """Scan all (or sampled) m-subsets of the family for linear dependence.
+    """Whether every m-subset of the family is linearly independent.
 
-    The default exhaustive budget C(3t, m) <= 10^7 covers m <= 18; beyond
-    it, certified_general_position proves what this scan would, and
-    sampled mode draws evidence.
-    """
-    matrix = coefficient_matrix(family_polys(m), m)
-    return maximal_minor_scan(
-        matrix,
-        mode,
-        seed=seed,
-        sample_count=sample_count,
-        exhaustive_limit=exhaustive_limit,
-    )
-
-
-def _row_order(m: int) -> list[int]:
-    """Rows 1..t, 3t, 3t-1, ..., 2t+1, then t+1..2t, 0-based: the order in
-    which the family reduces to a totally positive coordinate matrix."""
-    t = _check_even(m)
-    return [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
-
-
-def certified_general_position(m: int, exhaustive_limit: int = 10**7) -> GeneralPositionReport:
-    """general_position(m)'s exhaustive report for any even m, from the
-    positive-Grassmannian certificate (matrices._positive_grassmannian) in
-    the family's row order: no walk, every C(3t, m) subset covered.
-
-    When the certificate is refused, the exhaustive walk runs within
-    exhaustive_limit (ScanBudgetError past it), and its report carries
-    the refused certificate.
+    Exhaustive mode proves it for any even m from the positive-Grassmannian
+    certificate (matrices._positive_grassmannian) in the family's row
+    order: no walk, every C(3t, m) subset covered.  When the certificate
+    is refused, the exhaustive walk runs within exhaustive_limit
+    (ScanBudgetError past it), and its report carries the refused
+    certificate.  Sampled mode draws sample_count subsets with seed
+    (maximal_minor_scan): evidence, not a proof.
     """
     t0 = time.perf_counter()
     matrix = coefficient_matrix(family_polys(m), m)
+    if mode != "exhaustive" or seed is not None or sample_count is not None:
+        # maximal_minor_scan checks the mode and its arguments.
+        return maximal_minor_scan(
+            matrix,
+            mode,
+            seed=seed,
+            sample_count=sample_count,
+            exhaustive_limit=exhaustive_limit,
+        )
     cert = _positive_grassmannian(matrix, _row_order(m))
     if cert.refusal is not None:
         report = maximal_minor_scan(matrix, exhaustive_limit=exhaustive_limit)

@@ -4,7 +4,8 @@ One fraction-free (Bareiss) elimination for determinants (forward only)
 and the scan's basis reduction (Gauss-Jordan), minor queries,
 total-nonnegativity/positivity scans, the positive-Grassmannian
 certificate of general position, and the maximal-minor scan engine
-that backs general-position certificates without one.
+(an exhaustive walk or a seeded sample) that families.general_position
+runs when the certificate is refused or a sample is asked for.
 
 The certificate (_positive_grassmannian) proves that no maximal minor
 vanishes without enumerating them: in a given row order the basis must
@@ -85,7 +86,6 @@ __all__ = [
     "determinant",
     "minor",
     "matmul",
-    "identity",
     "diagonal",
     "is_totally_nonnegative",
     "is_totally_positive",
@@ -289,13 +289,6 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             tuple(Fraction(sum(map(operator.mul, x, y)), sa * sb) for y in cols)
             for x in rows
         )
-    )
-
-
-def identity(n: int) -> ExactMatrix:
-    one, zero = Fraction(1), Fraction(0)
-    return ExactMatrix(
-        tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     )
 
 
@@ -578,14 +571,6 @@ def _decode_ranks(n: int, k: int, ranks: Iterable[int]) -> Iterable[tuple[int, .
         yield tuple(comb)
 
 
-def _subsets(n: int, k: int, ranks: Optional[Sequence[int]]) -> Iterable[Sequence[int]]:
-    """The k-subsets of range(n): all in lexicographic order when ranks is
-    None, else those of the given ascending lexicographic ranks."""
-    if ranks is None:
-        return combinations(range(n), k)
-    return _decode_ranks(n, k, ranks)
-
-
 @dataclass(frozen=True)
 class _BasisContext:
     """Complementary-minor reduction through an invertible row basis."""
@@ -666,7 +651,7 @@ def _scan_chunk(payload):
              for p in ctx.basis_pos]
     failures: list[tuple[int, ...]] = []
     best: Optional[tuple[int, int]] = None  # (|det| numerator part, scale part)
-    for comb in _subsets(ctx.n_rows, n_cols, ranks):
+    for comb in _decode_ranks(ctx.n_rows, n_cols, ranks):
         rows = []
         free = list(range(n_cols))
         scale = 1
@@ -868,7 +853,8 @@ def _scan_report(matrix, seed=None, sample_count=None, *, stop_at_zero=False):
     if ctx is None:
         if stop_at_zero:
             return None
-        zeros = [tuple(i + 1 for i in comb) for comb in _subsets(r, c, ranks)]
+        subsets = combinations(range(r), c) if ranks is None else _decode_ranks(r, c, ranks)
+        zeros = [tuple(i + 1 for i in comb) for comb in subsets]
         parts = [(zeros, None)]
     elif ranks is None:
         walked = _walk_scan(ctx, stop_at_zero)

@@ -2,10 +2,11 @@
 
 Every edge strictly increases column, so the graph is acyclic by
 construction and the weight matrix is computed by one dynamic-programming
-sweep per source, never by path enumeration.  Path enumeration is kept
-separately as the small-instance oracle for the determinant =
-disjoint-collection-sum identity, which this module guarantees only for
-the built-in constructions (the three-section network and the grid).
+sweep per source, never by path enumeration.  Enumeration of disjoint
+path collections (lgv_oracle_minor) is kept separately as the
+small-instance oracle for the determinant = disjoint-collection-sum
+identity, which this module guarantees only for the three-section
+network (three_section.build_three_section).
 
 Both run on an integer lift of the network (_integer_lift), built once
 per network and kept: each edge weight is scaled by the denominators of
@@ -17,7 +18,7 @@ order, each along the lowest positive path that avoids the earlier ones,
 over a positive-edge adjacency built once per sink and pruned to the
 heads that can still reach it.  A pair's route depends only on the pairs
 before it, so each query resumes after the pairs it shares with the
-previous query on the same network.  In the built-in constructions every
+previous query on the same network.  In the three-section network every
 edge joins adjacent columns, no two edges of one slot cross and both
 boundaries are ordered by level, so disjoint paths cannot cross and
 greedy routing finds a collection whenever one exists; on any network,
@@ -30,24 +31,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import EnumerationBudgetError, NetworkFormatError
+from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix, MinorQuery
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational
 
 __all__ = [
     "PlanarNetwork",
     "PathCollection",
     "weight_matrix",
-    "iter_paths",
-    "count_paths",
     "lgv_oracle_minor",
     "find_positive_collection",
-    "build_grid",
     "export_dot",
     "export_json",
-    "import_json",
 ]
 
 Vertex = tuple[int, int]  # (column, level)
@@ -245,46 +242,6 @@ def weight_matrix(net: PlanarNetwork) -> ExactMatrix:
     return ExactMatrix(tuple(rows))
 
 
-def count_paths(net: PlanarNetwork, src: Vertex, dst: Vertex) -> int:
-    """Number of directed paths, zero-weight edges included."""
-    dp: dict[Vertex, int] = {src: 1}
-    for v in net.vertices:
-        val = dp.get(v)
-        if not val:
-            continue
-        for head, _ in net.adjacency.get(v, ()):
-            dp[head] = dp.get(head, 0) + val
-    return dp.get(dst, 0)
-
-
-def iter_paths(
-    net: PlanarNetwork,
-    src: Vertex,
-    dst: Vertex,
-    edge_ok: Optional[Callable[[Vertex, Vertex, Fraction], bool]] = None,
-) -> Iterator[tuple[tuple[Vertex, ...], Fraction]]:
-    """Yield (vertex tuple, weight product) for every src -> dst path."""
-    if src not in net.adjacency and src != dst:
-        return
-    limit_col = dst[0]
-    stack_path: list[Vertex] = [src]
-
-    def rec(v: Vertex, weight: Fraction):
-        if v == dst:
-            yield tuple(stack_path), weight
-            return
-        if v[0] >= limit_col:
-            return
-        for head, w in net.adjacency.get(v, ()):
-            if edge_ok is not None and not edge_ok(v, head, w):
-                continue
-            stack_path.append(head)
-            yield from rec(head, weight * w)
-            stack_path.pop()
-
-    yield from rec(src, Fraction(1))
-
-
 def _boundary_pairs(
     net: PlanarNetwork, rows: Sequence[int], cols: Sequence[int]
 ) -> list[tuple[Vertex, Vertex]]:
@@ -423,8 +380,8 @@ def find_positive_collection(
     network).
 
     When every edge joins adjacent columns, no two edges of one slot
-    cross and both boundaries are ordered by level (build_three_section
-    and build_grid), disjoint paths cannot cross and the pointwise-lowest
+    cross and both boundaries are ordered by level (build_three_section),
+    disjoint paths cannot cross and the pointwise-lowest
     choice leaves the most room above it, so routing fails only when no
     collection exists.  On other networks a returned collection is still
     genuine; only a missing one is inconclusive.  The budget caps search
@@ -495,33 +452,6 @@ def find_positive_collection(
     return PathCollection(tuple(state.path for state in trail), Fraction(num, den))
 
 
-def build_grid(grid_size: int, boundary_size: int) -> PlanarNetwork:
-    """Unit-weight monotone grid with the staircase boundary.
-
-    Grid points (x, y), 1 <= x, y <= grid_size+1, with unit steps in x
-    and in y; source i is (1, i) and sink i is (grid_size - i + 2,
-    grid_size + 1).  Embedded with column = x + y and level = y - x so
-    that every edge strictly increases column.
-    """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    if not 1 <= boundary_size <= grid_size + 1:
-        raise ValueError("boundary_size must be between 1 and grid_size + 1")
-    side = grid_size + 1
-    vertices = [(x + y, y - x) for x in range(1, side + 1) for y in range(1, side + 1)]
-    edges = []
-    for x in range(1, side + 1):
-        for y in range(1, side + 1):
-            v = (x + y, y - x)
-            if x < side:
-                edges.append((v, (x + 1 + y, y - x - 1), 1))
-            if y < side:
-                edges.append((v, (x + y + 1, y + 1 - x), 1))
-    sources = [(1 + i, i - 1) for i in range(1, boundary_size + 1)]
-    sinks = [(2 * grid_size + 3 - i, i - 1) for i in range(1, boundary_size + 1)]
-    return PlanarNetwork(vertices, edges, sources, sinks)
-
-
 def _vertex_name(v: Vertex) -> str:
     return f"c{v[0]}_l{v[1]}"
 
@@ -551,82 +481,3 @@ def export_json(net: PlanarNetwork) -> str:
         "sinks": [[c, l] for (c, l) in net.sinks],
     }
     return json.dumps(data, indent=2)
-
-
-def _take_vertex(value, where: str) -> Vertex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, int) for x in value)
-    ):
-        raise NetworkFormatError(f"{where}: expected [column, level] integers")
-    return (value[0], value[1])
-
-
-def import_json(text: str) -> tuple[PlanarNetwork, tuple[str, ...]]:
-    """Parse a network; returns (network, warnings).
-
-    Warnings flag legal but non-canonical weights (e.g. "2/4"), which are
-    normalized.  Malformed input raises NetworkFormatError with the
-    position (line/column for syntax, JSON path for schema).
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise NetworkFormatError(
-            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise NetworkFormatError("top level: expected an object")
-    required = ("vertices", "edges", "sources", "sinks")
-    for key in required:
-        if key not in data:
-            raise NetworkFormatError(f"top level: missing key {key!r}")
-    for key in data:
-        if key not in required:
-            raise NetworkFormatError(f"top level: unexpected key {key!r}")
-    if not isinstance(data["vertices"], list):
-        raise NetworkFormatError("vertices: expected a list")
-    vertices = []
-    for idx, item in enumerate(data["vertices"]):
-        where = f"vertices[{idx}]"
-        if not isinstance(item, dict) or set(item) != {"column", "level"}:
-            raise NetworkFormatError(f"{where}: expected {{column, level}}")
-        c, l = item["column"], item["level"]
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (c, l)):
-            raise NetworkFormatError(f"{where}: column/level must be integers")
-        vertices.append((c, l))
-    if not isinstance(data["edges"], list):
-        raise NetworkFormatError("edges: expected a list")
-    warnings = []
-    edges = []
-    for idx, item in enumerate(data["edges"]):
-        where = f"edges[{idx}]"
-        if not isinstance(item, dict) or set(item) != {"from", "to", "weight"}:
-            raise NetworkFormatError(f"{where}: expected {{from, to, weight}}")
-        tail = _take_vertex(item["from"], f"{where}.from")
-        head = _take_vertex(item["to"], f"{where}.to")
-        if not isinstance(item["weight"], str):
-            raise NetworkFormatError(f"{where}.weight: expected a string")
-        try:
-            value, canonical = parse_rational(item["weight"])
-        except ValueError as e:
-            raise NetworkFormatError(f"{where}.weight: {e}") from None
-        if not canonical:
-            warnings.append(
-                f"{where}.weight: {item['weight']!r} normalized to "
-                f"{format_rational(value)!r}"
-            )
-        edges.append((tail, head, value))
-    for key in ("sources", "sinks"):
-        if not isinstance(data[key], list):
-            raise NetworkFormatError(f"{key}: expected a list")
-    sources = [
-        _take_vertex(v, f"sources[{i}]") for i, v in enumerate(data["sources"])
-    ]
-    sinks = [_take_vertex(v, f"sinks[{i}]") for i, v in enumerate(data["sinks"])]
-    try:
-        net = PlanarNetwork(vertices, edges, sources, sinks)
-    except ValueError as e:
-        raise NetworkFormatError(str(e)) from None
-    return net, tuple(warnings)

@@ -8,7 +8,6 @@ form used for rationals in JSON output.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -17,8 +16,6 @@ from typing import NamedTuple, Union
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
-
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
 def binomial(n: int, k: int) -> int:
@@ -88,20 +85,3 @@ def saalschuetz_check(a: int, b: int, k: int) -> SaalschuetzCheck:
 def format_rational(x: Scalar) -> str:
     """Canonical string for JSON output: "p/q", or just "p" when q = 1."""
     return str(Fraction(x))
-
-
-def parse_rational(text: str) -> tuple[Fraction, bool]:
-    """Parse "p" or "p/q"; returns (value, canonical).
-
-    canonical is False when the input was legal but not in reduced
-    positive-denominator form (e.g. "2/4" or "1/-2").
-    """
-    match = _RATIONAL_RE.match(text.strip())
-    if not match:
-        raise ValueError(f"not a rational literal: {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) is not None else 1
-    if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    value = Fraction(num, den)
-    return value, str(value) == text.strip()

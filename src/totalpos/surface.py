@@ -45,7 +45,6 @@ __all__ = [
     "ExtPolynomial",
     "weierstrass_h",
     "FamilyConstants",
-    "constants_from_extras",
     "extended_family",
     "verify_extended_general_position",
     "SearchResult",
@@ -330,14 +329,6 @@ class FamilyConstants:
     @property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for pair in self.pairs for v in pair)
-
-
-def constants_from_extras(
-    extras: Iterable[tuple[Rational, Rational]],
-) -> FamilyConstants:
-    pairs = [(Fraction(0), Fraction(1))]
-    pairs.extend((Fraction(a), Fraction(b)) for a, b in extras)
-    return FamilyConstants(tuple(pairs))
 
 
 def _family_with_pairs(m: int, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[Polynomial]:

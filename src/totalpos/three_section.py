@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix
@@ -28,7 +28,6 @@ __all__ = [
     "weight_key_set",
     "standard_weights",
     "build_three_section",
-    "extract_weights",
     "closed_form_entry",
     "closed_form_matrix",
     "w_ab_formula",
@@ -36,7 +35,6 @@ __all__ = [
     "PairCheck",
     "LemmaPathReport",
     "lemma_path_report",
-    "ascent_level_product",
 ]
 
 
@@ -145,55 +143,6 @@ def build_three_section(weights: SectionWeights) -> PlanarNetwork:
     sources = [(0, lvl) for lvl in range(1, n + 1)]
     sinks = [(last, lvl) for lvl in range(1, n + 1)]
     return PlanarNetwork(vertices, edges, sources, sinks)
-
-
-def extract_weights(net: PlanarNetwork) -> SectionWeights:
-    """Read the weight table back off a three-section network.
-
-    Inverse of build_three_section on its image; anything else is
-    rejected (unclassifiable edge, wrong plain-horizontal weight, or an
-    incomplete label set).
-    """
-    n = len(net.sources)
-    if len(net.sinks) != n:
-        raise ValueError("not a three-section network: boundary sizes differ")
-    keys = weight_key_set(n)
-    left: dict[tuple[int, int], Fraction] = {}
-    right: dict[tuple[int, int], Fraction] = {}
-    middle: list[Optional[Fraction]] = [None] * n
-    for (c1, l1), (c2, l2), w in net.edges:
-        if c2 != c1 + 1 or not (1 <= l1 <= n and 1 <= l2 <= n):
-            raise ValueError(f"not a three-section network: edge ({c1},{l1})->({c2},{l2})")
-        if l2 == l1:
-            if c1 == n - 1:
-                middle[l1 - 1] = w
-            elif w != 1:
-                raise ValueError(
-                    "not a three-section network: plain horizontal with weight != 1"
-                )
-        elif l2 == l1 - 1:
-            j = n - 1 - c1
-            d = l2 - j + 1
-            if (d, j) not in keys:
-                raise ValueError(
-                    f"not a three-section network: stray descending edge at column {c1}"
-                )
-            left[(d, j)] = w
-        elif l2 == l1 + 1:
-            j = c1 - n + 1
-            d = l1 - j + 1
-            if (d, j) not in keys:
-                raise ValueError(
-                    f"not a three-section network: stray ascending edge at column {c1}"
-                )
-            right[(d, j)] = w
-        else:
-            raise ValueError(
-                f"not a three-section network: edge ({c1},{l1})->({c2},{l2})"
-            )
-    if set(left) != keys or set(right) != keys or any(v is None for v in middle):
-        raise ValueError("not a three-section network: incomplete label set")
-    return SectionWeights(n=n, left=left, middle=tuple(middle), right=right)
 
 
 def closed_form_entry(i: int, j: int, m: int) -> int:
@@ -356,13 +305,3 @@ def lemma_path_report(m: int) -> LemmaPathReport:
         mismatches=tuple(mismatches),
         enumerated_paths=int(sum(map(sum, counts))),
     )
-
-
-def ascent_level_product(path: Sequence[tuple[int, int]]) -> int:
-    """Product of the lower-endpoint levels of the ascending steps; under
-    the standard weights this is the per-path denominator (i)_{j-i}."""
-    prod = 1
-    for (_, a), (_, b) in zip(path, path[1:]):
-        if b > a:
-            prod *= a
-    return prod

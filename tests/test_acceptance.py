@@ -18,7 +18,6 @@ from totalpos import (
     SectionWeights,
     binomial,
     block_determinants,
-    build_grid,
     build_three_section,
     coefficient_matrix,
     extended_family,
@@ -30,6 +29,7 @@ from totalpos import (
     is_totally_positive,
     lemma_path_report,
     lgv_oracle_minor,
+    maximal_minor_scan,
     minor,
     positive_minor_scan,
     saalschuetz_check,
@@ -43,6 +43,8 @@ from totalpos import (
     weight_matrix,
 )
 from totalpos.cli import main as cli_main
+
+from oracles import build_grid
 
 PRINTED_MATRICES = {
     2: [[1, 0], [-1, 1], [0, 1]],
@@ -156,9 +158,9 @@ def test_criterion_08_path_split_lemmas():
 
 def test_criterion_09_exhaustive_scan_m16():
     start = time.perf_counter()
-    rep = general_position(16)
+    rep = maximal_minor_scan(coefficient_matrix(family_polys(16), 16), exhaustive_limit=10**6)
     elapsed = time.perf_counter() - start
-    assert rep.ok
+    assert rep.ok and rep.method == "laplace-walk"
     assert rep.total_subsets == 735471
     assert rep.checked_subsets == 735471
     assert rep.failures == ()
@@ -169,9 +171,9 @@ def test_criterion_09_exhaustive_scan_m16():
 
 def test_criterion_10_scan_beyond_verified_range():
     start = time.perf_counter()
-    rep = general_position(18)
+    rep = maximal_minor_scan(coefficient_matrix(family_polys(18), 18), exhaustive_limit=10**7)
     elapsed = time.perf_counter() - start
-    assert rep.ok
+    assert rep.ok and rep.method == "laplace-walk"
     assert rep.total_subsets == 4686825
     assert rep.failures == ()
     assert elapsed < 1800.0
@@ -243,7 +245,7 @@ def test_criterion_14_cli_determinism(capsys):
         ["lemmas", "--m", "4"],
         ["lgv-check", "--m", "4", "--trials", "10", "--seed", "1"],
         ["extend", "--m", "4"],
-        ["bench", "--m-list", "2,4"],
+        ["verify", "--m", "20"],
     ]
 
     def strip(text: str) -> str:

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from totalpos import ext_rational, hyperplane_coefficients, import_json
+from totalpos import build_three_section, ext_rational, hyperplane_coefficients, standard_weights
 from totalpos.cli import main
+
+from oracles import network_from_json
 
 
 def run(capsys, argv):
@@ -109,23 +111,17 @@ class TestVerify:
         assert code == 2
         assert "exceeds the 15 subsets" in payload["error"]
 
-    @pytest.mark.parametrize(
-        "command",
-        [["verify", "--m", "50", "--mode", "sampled", "--seed", "1"], ["bench", "--m-list", "50"]],
-        ids=["verify", "bench"],
-    )
-    def test_sampled_draw_past_sys_maxsize_is_a_usage_error(self, capsys, command):
+    def test_sampled_draw_past_sys_maxsize_is_a_usage_error(self, capsys):
         """C(75, 50) > sys.maxsize, the most subsets random.sample draws
         from; the limit is named in a JSON error, not a traceback."""
-        code, payload = run_json(capsys, command)
+        code, payload = run_json(capsys, ["verify", "--m", "50", "--mode", "sampled", "--seed", "1"])
         assert code == 2
         assert "sys.maxsize" in payload["error"]
         assert "C(75, 50)" in payload["error"]
 
-    @pytest.mark.parametrize("command", [["verify", "--m", "4"], ["bench", "--m-list", "2"]])
-    def test_threads_flag_is_gone(self, capsys, command):
+    def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(command + ["--threads", "2"])
+            main(["verify", "--m", "4", "--threads", "2"])
         assert info.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert "unrecognized arguments" in payload["error"]
@@ -143,9 +139,7 @@ class TestNetwork:
     def test_json_export_round_trips(self, capsys):
         code, out = run(capsys, ["network", "--m", "6", "--format", "json"])
         assert code == 0
-        net, warnings = import_json(out)
-        assert warnings == ()
-        assert len(net.sources) == 6
+        assert network_from_json(out) == build_three_section(standard_weights(6))
 
     def test_dot_export(self, capsys):
         code, out = run(capsys, ["network", "--m", "2", "--format", "dot"])
@@ -262,22 +256,22 @@ class TestExtend:
         assert "30260340 subsets" in payload["error"]
 
 
-class TestBench:
-    def test_timings_per_family(self, capsys):
-        code, cert = run_json(capsys, ["bench", "--m-list", "2,4"])
-        assert code == 0
-        names = [c["name"] for c in cert["checks"]]
-        assert names == ["general_position_m2", "general_position_m4"]
-        assert cert["m_list"] == [2, 4]
-        assert all(c["pass"] for c in cert["checks"])
+class TestRemovedCommands:
+    def test_bench_is_a_usage_error(self, capsys):
+        """perfbench/ times the commands; totalpos has no bench command."""
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--m-list", "2"])
+        assert info.value.code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "invalid choice" in error and "bench" in error
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("command", [["verify", "--m", "4"], ["bench", "--m-list", "2"]])
-    def test_certificate_records_no_worker_count(self, capsys, command):
+    def test_certificate_records_no_worker_count(self, capsys):
         """The worker count depends on the machine, so a certificate that
         recorded it would differ between machines."""
-        code, cert = run_json(capsys, command)
+        code, cert = run_json(capsys, ["verify", "--m", "20", "--mode", "sampled", "--seed", "1",
+                                       "--sample-count", "5000"])
         assert code == 0
         assert "threads" not in cert
 
@@ -292,7 +286,7 @@ class TestDeterminism:
             ["lemmas", "--m", "2"],
             ["lgv-check", "--m", "4", "--trials", "5", "--seed", "7"],
             ["extend", "--m", "4"],
-            ["bench", "--m-list", "2"],
+            ["verify", "--m", "20"],
         ],
     )
     def test_byte_identical_up_to_timings(self, capsys, argv):

@@ -29,7 +29,7 @@ from totalpos import (
     verify_network_equals_block_matrix,
     weight_matrix,
 )
-from totalpos.families import PositiveMinorReport, certified_general_position
+from totalpos.families import PositiveMinorReport
 from totalpos.matrices import _build_context, _positive_grassmannian, maximal_minor_scan
 
 from test_networks import positive_collection_oracle
@@ -213,17 +213,29 @@ class TestNetworkIdentity:
             assert weight_matrix(net).to_lists() == binomial_block_matrix(m).to_lists()
 
 
+def family_walk(m, exhaustive_limit=10**7):
+    """The exhaustive Laplace walk over every m-subset of the family."""
+    return maximal_minor_scan(coefficient_matrix(family_polys(m), m), exhaustive_limit=exhaustive_limit)
+
+
 class TestGeneralPosition:
     def test_every_maximal_minor_is_nonzero_for_small_m(self):
-        rep = general_position(2)
+        rep = family_walk(2)
         assert rep.ok and rep.total_subsets == 3
-        rep = general_position(4)
+        rep = family_walk(4)
         assert rep.ok and rep.total_subsets == 15
         assert rep.min_abs_nonzero_det == 1
 
     def test_budget_guard(self):
         with pytest.raises(ScanBudgetError):
-            general_position(20, exhaustive_limit=100)
+            family_walk(20, exhaustive_limit=100)
+
+    def test_exhaustive_mode_rejects_sampling_arguments(self):
+        for kwargs in ({"seed": 1}, {"sample_count": 10}):
+            with pytest.raises(ValueError, match="only apply to sampled mode"):
+                general_position(4, **kwargs)
+        with pytest.raises(ValueError, match="unknown mode"):
+            general_position(4, "random")
 
     @pytest.mark.parametrize("m", range(4, 26, 2))
     def test_reordered_rows_reduce_to_integer_sign_regular_coordinates(self, m):
@@ -265,8 +277,8 @@ class TestPositiveGrassmannianCertificate:
     def test_matches_the_exhaustive_walk(self, m):
         """Every even m <= 18: the certificate proves what the walk finds,
         with the same subset count, no failures and the same min |det|."""
-        walk = general_position(m)
-        rep = certified_general_position(m)
+        walk = family_walk(m)
+        rep = general_position(m)
         assert (rep.total_subsets, rep.checked_subsets, rep.failures) == (
             walk.total_subsets, walk.checked_subsets, walk.failures) == (
             math.comb(3 * m // 2, m), math.comb(3 * m // 2, m), ())
@@ -277,7 +289,7 @@ class TestPositiveGrassmannianCertificate:
         assert walk.to_json_dict()["method"] == "laplace-walk"
 
     def test_m16_certificate(self):
-        cert = certified_general_position(16).to_json_dict()["certificate"]
+        cert = general_position(16).to_json_dict()["certificate"]
         assert cert["row_order"] == [*range(1, 9), *range(24, 16, -1), *range(9, 17)]
         assert cert["row_signs"] == [1, -1] * 4
         assert cert["col_signs"] == [1, -1] * 8
@@ -341,7 +353,7 @@ class TestPositiveGrassmannianCertificate:
         polys = family_polys(6)
         planted = polys[:3] + (polys[1],) + polys[4:]
         monkeypatch.setattr(totalpos.families, "family_polys", lambda m: planted)
-        rep = certified_general_position(6)
+        rep = general_position(6)
         walk = maximal_minor_scan(coefficient_matrix(planted, 6))
         assert rep.certificate.refusal is not None
         assert rep.failures == walk.failures and len(walk.failures) == math.comb(7, 4)
@@ -351,20 +363,20 @@ class TestPositiveGrassmannianCertificate:
         assert (d["method"], d["claim"]) == ("laplace-walk", "proved")
         assert d["certificate"]["refused"]["condition"] in ("sign", "minor")
         with pytest.raises(ScanBudgetError):
-            certified_general_position(6, exhaustive_limit=50)
+            general_position(6, exhaustive_limit=50)
 
     def test_refusal_in_general_position_gives_the_clean_walk(self, monkeypatch):
         """A row order the certificate cannot use, on the true family: the
         walk runs and finds no failure; past the budget it is refused."""
         monkeypatch.setattr(totalpos.families, "_row_order", lambda m: list(range(3 * m // 2)))
-        rep = certified_general_position(8)
+        rep = general_position(8)
         assert rep.certificate.refusal is not None
-        walk = general_position(8)
+        walk = family_walk(8)
         assert (rep.failures, rep.min_abs_nonzero_det, rep.checked_subsets) == (
             (), walk.min_abs_nonzero_det, walk.checked_subsets)
         assert rep.method == "laplace-walk"
         with pytest.raises(ScanBudgetError):
-            certified_general_position(20, exhaustive_limit=10**6)
+            general_position(20, exhaustive_limit=10**6)
 
 
 class TestPositiveMinorScan:

@@ -24,13 +24,11 @@ from totalpos import (
     ScanBudgetError,
     ScanVerdict,
     coefficient_matrix,
-    constants_from_extras,
     determinant,
     diagonal,
     extended_family,
     family_polys,
     general_position,
-    identity,
     is_totally_nonnegative,
     is_totally_positive,
     matmul,
@@ -52,6 +50,8 @@ from totalpos.matrices import (
     _over,
     _scan_report,
 )
+
+from oracles import constants_from_extras, identity
 
 
 def cofactor_determinant(rows):
@@ -1017,10 +1017,10 @@ class TestMaximalMinorScan:
             os.cpu_count = lambda: 2
             multiprocessing.set_start_method("spawn")
             from totalpos import (
-                coefficient_matrix, constants_from_extras, extended_family,
+                FamilyConstants, coefficient_matrix, extended_family,
                 maximal_minor_scan,
             )
-            family = extended_family(6, constants_from_extras([(-1, 2), (3, -2)]))
+            family = extended_family(6, FamilyConstants(((0, 1), (-1, 2), (3, -2))))
             rep = maximal_minor_scan(
                 coefficient_matrix(family, 6), mode="sampled", seed=3,
                 sample_count=5000,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from totalpos import (
     binomial,
     format_rational,
-    parse_rational,
     pochhammer,
     saalschuetz_check,
 )
@@ -151,19 +150,8 @@ class TestRationalText:
     def test_fractions_print_in_lowest_terms(self):
         assert format_rational(Fraction(-3, 7)) == "-3/7"
 
-    def test_parse_reports_canonical_form(self):
-        assert parse_rational("-3") == (Fraction(-3), True)
-        assert parse_rational("1/2") == (Fraction(1, 2), True)
-        assert parse_rational("2/4") == (Fraction(1, 2), False)
-
-    def test_parse_rejects_garbage(self):
-        for text in ("a/b", "", "1/0", "1.5.2"):
-            with pytest.raises(ValueError):
-                parse_rational(text)
-
     @given(st.fractions(max_denominator=1000))
-    def test_format_parse_round_trip(self, x):
+    def test_format_round_trips_through_fraction(self, x):
         text = format_rational(x)
-        value, canonical = parse_rational(text)
-        assert value == x
-        assert canonical
+        assert Fraction(text) == x
+        assert format_rational(Fraction(text)) == text

@@ -18,7 +18,6 @@ from totalpos import (
     ScanBudgetError,
     SearchExhaustedError,
     coefficient_matrix,
-    constants_from_extras,
     determinant,
     ext_i,
     ext_rational,
@@ -31,6 +30,8 @@ from totalpos import (
     wronskian,
 )
 from totalpos.surface import _family_with_pairs, _value_pool
+
+from oracles import constants_from_extras
 
 
 quads = st.tuples(*[st.fractions(max_denominator=6)] * 4)

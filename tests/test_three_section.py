@@ -12,14 +12,10 @@ from totalpos import (
     EnumerationBudgetError,
     PlanarNetwork,
     SectionWeights,
-    ascent_level_product,
     binomial,
     build_three_section,
     closed_form_entry,
     closed_form_matrix,
-    count_paths,
-    extract_weights,
-    iter_paths,
     lemma_path_report,
     pochhammer,
     standard_weights,
@@ -29,6 +25,8 @@ from totalpos import (
     weight_matrix,
 )
 from totalpos.three_section import LemmaPathReport, PairCheck
+
+from oracles import ascent_level_product, build_grid, count_paths, extract_weights, iter_paths
 
 
 def lemma_path_oracle(m: int, *, budget: int = 10**6) -> LemmaPathReport:
@@ -218,8 +216,6 @@ class TestBuildAndExtract:
         assert extract_weights(build_three_section(w)) == w
 
     def test_extract_rejects_other_networks(self):
-        from totalpos import build_grid
-
         with pytest.raises(ValueError, match="not a three-section network"):
             extract_weights(build_grid(1, 1))
 
