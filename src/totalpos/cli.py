@@ -85,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="required in sampled mode")
     p.add_argument("--sample-count", type=int, default=None,
                    help="sampled subsets (default: 100000, or all when fewer)")
-    p.add_argument("--budget", type=int, default=10**7,
-                   help="subset budget of the exhaustive walk, which runs only "
-                   "when the positive-Grassmannian certificate is refused")
     add_common(p)
 
     p = sub.add_parser("network", help="export the standard network")
@@ -155,9 +152,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
     det_ok = all(d == 1 for d in dets)
     sign_ok = sign_factorization_check(m)
     net_ok = verify_network_equals_block_matrix(m)
-    report = general_position(
-        m, args.mode, seed=seed, sample_count=sample_count, exhaustive_limit=args.budget
-    )
+    report = general_position(m, args.mode, seed=seed, sample_count=sample_count)
     checks = [
         {"name": "sign_factorization", "pass": sign_ok},
         {
@@ -231,12 +226,18 @@ def _cmd_lgv_check(args) -> tuple[str, bool]:
     matrix = weight_matrix(net)
     rng = random.Random(args.seed)
     mismatches = []
-    for _ in range(args.trials):
+    for trial in range(1, args.trials + 1):
         size = rng.randint(1, args.max_size)
         rows = tuple(sorted(rng.sample(range(1, m + 1), size)))
         cols = tuple(sorted(rng.sample(range(1, m + 1), size)))
         direct = minor(matrix, MinorQuery(rows, cols))
-        oracle = lgv_oracle_minor(net, rows, cols, budget=args.budget)
+        try:
+            oracle = lgv_oracle_minor(net, rows, cols, budget=args.budget)
+        except EnumerationBudgetError as exc:
+            raise EnumerationBudgetError(
+                f"trial {trial} of {args.trials} (rows {list(rows)}, cols {list(cols)}), "
+                f"after {trial - 1 - len(mismatches)} passed: {exc}"
+            ) from exc
         if direct != oracle:
             mismatches.append(
                 {

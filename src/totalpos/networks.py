@@ -8,14 +8,16 @@ small-instance oracle for the determinant = disjoint-collection-sum
 identity, which this module guarantees only for the three-section
 network (three_section.build_three_section).
 
-Both run on an integer lift of the network (_integer_lift), built once
-per network and kept: each edge weight is scaled by the denominators of
-the columns it spans, so every path between two columns is scaled by the
-same integer and a sum of path weights is one integer sum divided once.
+All three path computations (the sweep, the enumeration and positive
+routing) run on one integer lift of the network (_integer_lift), built
+once per network and kept: each vertex v gets a positive integer
+potential phi(v), and an edge u -> v of weight w weighs the integer
+w * phi(v) / phi(u), so a path weighs its true weight times
+phi(end) / phi(start) and a sum of path weights is divided once.
 
 Positive path collections are routed greedily, pair by pair in boundary
 order, each along the lowest positive path that avoids the earlier ones,
-over a positive-edge adjacency built once per sink and pruned to the
+over the lift's positive edges, kept once per sink and pruned to the
 heads that can still reach it.  A pair's route depends only on the pairs
 before it, so each query resumes after the pairs it shares with the
 previous query on the same network.  In the three-section network every
@@ -62,9 +64,7 @@ def _as_vertex(v) -> Vertex:
 class PlanarNetwork:
     """Immutable weighted DAG with ordered source and sink boundaries."""
 
-    __slots__ = (
-        "vertices", "edges", "sources", "sinks", "_adj", "_lift", "_routes", "_trail"
-    )
+    __slots__ = ("vertices", "edges", "sources", "sinks", "_lift", "_routes", "_trail")
 
     def __init__(self, vertices, edges, sources, sinks):
         vset = {_as_vertex(v) for v in vertices}
@@ -100,10 +100,6 @@ class PlanarNetwork:
         object.__setattr__(self, "edges", tuple(sorted(norm_edges)))
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "sinks", snk)
-        adj: dict[Vertex, list[tuple[Vertex, Fraction]]] = {}
-        for tail, head, w in self.edges:
-            adj.setdefault(tail, []).append((head, w))
-        object.__setattr__(self, "_adj", {k: tuple(v) for k, v in adj.items()})
         object.__setattr__(self, "_lift", None)
         object.__setattr__(self, "_routes", {})
         object.__setattr__(self, "_trail", [])
@@ -115,34 +111,26 @@ class PlanarNetwork:
         """Pickled and copied by its data; the copy rebuilds its caches."""
         return PlanarNetwork, (self.vertices, self.edges, self.sources, self.sinks)
 
-    @property
-    def adjacency(self) -> dict:
-        return self._adj
-
     def _routes_to(self, sink: Vertex) -> tuple[dict, list]:
         """(vertex index, routing table toward sink), built on first use.
 
-        The index is the integer lift's: vertices are numbered by their
-        position in self.vertices.  Entry k of the table lists the
-        positive-weight edges out of vertex k as (head, numerator,
-        denominator) triples in adjacency order, keeping only heads from
-        which a positive path reaches the sink; it is None when no positive
-        path leads from vertex k to the sink.  Each table is built once per
-        sink and kept.  Next to them, self._trail holds one _Routed state
-        per pair routed by the last positive-collection query.
+        The index is the integer lift's.  Entry k of the table lists the
+        lift's positive edges out of vertex k as (head, lifted weight)
+        pairs in edge order, keeping only heads from which a positive path
+        reaches the sink; it is None when no positive path leads from
+        vertex k to the sink.  Potentials are positive, so a lifted weight
+        is positive exactly when the true weight is.  Each table is built
+        once per sink and kept.  Next to them, self._trail holds one _Routed
+        state per pair routed by the last positive-collection query.
         """
-        index = _integer_lift(self)[0]
+        index, adj, _ = _integer_lift(self)
         table = self._routes.get(sink)
         if table is None:
             table = [None] * len(index)
             table[index[sink]] = ()
             # Vertices are sorted by column, so heads come after their tails.
             for k in range(index[sink] - 1, -1, -1):
-                edges = tuple(
-                    (index[h], w.numerator, w.denominator)
-                    for h, w in self._adj.get(self.vertices[k], ())
-                    if w > 0 and table[index[h]] is not None
-                )
+                edges = tuple((h, w) for h, w in adj[k] if w > 0 and table[h] is not None)
                 if edges:
                     table[k] = edges
             self._routes[sink] = table
@@ -169,48 +157,37 @@ class PlanarNetwork:
 
 
 def _integer_lift(net: PlanarNetwork) -> tuple[dict, list, list]:
-    """(index, adj, scale): the network with integer edge weights, built
-    on first use and kept on the network.
+    """(index, adj, phi): the network with integer edge weights, built on
+    first use and kept on the network.
 
-    Column c gets the lcm of the denominators of the nonzero edges leaving
-    it, and scale[c] is the product of those lcms over the columns before
-    c.  An edge from column c1 to c2 of weight w then weighs the integer
-    w * scale[c2] / scale[c1], which holds for edges that skip columns and
-    for zero, negative or fractional weights alike; a path from u to v
-    weighs its true weight times scale[v] / scale[u].
+    Each vertex v gets a potential phi(v): 1 when v has no nonzero
+    in-edge, and otherwise the lcm, over its nonzero in-edges u -> v of
+    weight n/d (lowest terms, d > 0), of phi(u)*d / gcd(phi(u)*d, n).  The
+    edge then weighs the integer n * phi(v) / (phi(u) * d), an exact
+    division, whether it skips columns or not and whatever its sign; a
+    path from u to v weighs its true weight times phi(v) / phi(u).  Edges
+    are sorted by tail and increase the column, so every in-edge of a
+    vertex comes before its out-edges and one pass fixes phi.
 
     Vertices are numbered by their position in net.vertices (index maps
     a vertex to its number); adj[k] lists (head number, integer weight)
-    for the nonzero edges out of vertex k in adjacency order, and
-    scale[k] is the scale of vertex k's column.
+    for the nonzero edges out of vertex k in edge order, and phi[k] is
+    the potential of vertex k.
     """
     if net._lift is not None:
         return net._lift
     index = {v: k for k, v in enumerate(net.vertices)}
-    nonzero = []
-    dens: dict[int, set[int]] = {}  # denominators above 1, by tail column
-    for tail, head, w in net.edges:
-        num = w.numerator
-        if num:
-            den = w.denominator
-            nonzero.append((tail, head, num, den))
-            if den != 1:
-                dens.setdefault(tail[0], set()).add(den)
-    col_scale = {}
-    acc = 1
-    for c in sorted({c for c, _ in net.vertices}):
-        col_scale[c] = acc
-        if c in dens:
-            acc *= math.lcm(*dens[c])
-    ratio: dict[tuple[int, int], int] = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in net.vertices]
-    for tail, head, num, den in nonzero:
-        span = (tail[0], head[0])
-        r = ratio.get(span)
-        if r is None:
-            r = ratio[span] = col_scale[head[0]] // col_scale[tail[0]]
-        adj[index[tail]].append((index[head], num * (r // den)))
-    lift = index, adj, [col_scale[c] for c, _ in net.vertices]
+    edges = [
+        (index[t], index[h], w.numerator, w.denominator) for t, h, w in net.edges if w
+    ]
+    phi = [1] * len(index)
+    for a, b, n, d in edges:
+        q = phi[a] * d
+        phi[b] = math.lcm(phi[b], q // math.gcd(q, n))
+    adj: list[list[tuple[int, int]]] = [[] for _ in phi]
+    for a, b, n, d in edges:
+        adj[a].append((b, n * phi[b] // (phi[a] * d)))
+    lift = index, adj, phi
     object.__setattr__(net, "_lift", lift)
     return lift
 
@@ -219,9 +196,10 @@ def weight_matrix(net: PlanarNetwork) -> ExactMatrix:
     """Entry (i, j) is the weight sum over source-i -> sink-j paths.
 
     One integer sweep per source over the lift, in vertex order (sorted by
-    column, and edges only go forward); each entry is divided once.
+    column, and edges only go forward); each entry is then divided once,
+    times the source's potential over the sink's.
     """
-    index, adj, scale = _integer_lift(net)
+    index, adj, phi = _integer_lift(net)
     sinks = [index[t] for t in net.sinks]
     stop = max(sinks) + 1
     zero = Fraction(0)
@@ -235,9 +213,8 @@ def weight_matrix(net: PlanarNetwork) -> ExactMatrix:
             if val:
                 for head, w in adj[v]:
                     dp[head] += val * w
-        base = scale[a]
         rows.append(
-            tuple(Fraction(dp[t], scale[t] // base) if dp[t] else zero for t in sinks)
+            tuple(Fraction(dp[t] * phi[a], phi[t]) if dp[t] else zero for t in sinks)
         )
     return ExactMatrix(tuple(rows))
 
@@ -269,10 +246,10 @@ def lgv_oracle_minor(
     Zero-weight edges contribute nothing to any collection and the lift
     leaves them out, so the counts cover only paths that can matter.  The
     enumeration multiplies lifted integer weights and divides the total
-    once by the pairs' scales.
+    once: times the sources' potentials, over the sinks'.
     """
     pairs = _boundary_pairs(net, rows, cols)
-    index, adj, scale = _integer_lift(net)
+    index, adj, phi = _integer_lift(net)
     ends = [(index[s], index[t]) for s, t in pairs]
     counts = []  # per pair: number of paths from each vertex to its sink
     product = 1
@@ -321,10 +298,9 @@ def lgv_oracle_minor(
                 rec(r + 1, used | mask, weight * w)
 
     rec(0, 0, 1)
-    divisor = 1
-    for a, b in ends:
-        divisor *= scale[b] // scale[a]
-    return Fraction(total, divisor)
+    return Fraction(
+        total * math.prod(phi[a] for a, _ in ends), math.prod(phi[b] for _, b in ends)
+    )
 
 
 @dataclass(frozen=True)
@@ -344,8 +320,9 @@ class PathCollection:
 class _Routed(NamedTuple):
     """Greedy routing state right after one pair of a query: the pair, the
     search steps so far, the pair's path as vertex indices and as vertices,
-    and the collection weight so far as numerator and denominator.  The
-    vertices used so far are the indices of the states up to this one."""
+    and the collection weight so far as numerator (the lifted edge weights
+    times the sources' potentials) and denominator (the sinks' potentials).
+    The vertices used so far are the indices of the states up to this one."""
 
     pair: tuple[Vertex, Vertex]
     steps: int
@@ -371,7 +348,8 @@ def find_positive_collection(
     sink, which marks a vertex dead for the pair once its subtree fails
     (every edge increases the column, so the failure does not depend on
     the path into it).  No pair is re-routed.  The weight is one product
-    of numerators over one of denominators.
+    of lifted edge weights and source potentials over one of sink
+    potentials.
 
     A pair's route depends only on the pairs before it, so the search
     resumes after the longest run of leading pairs this query shares
@@ -404,7 +382,7 @@ def find_positive_collection(
     for state in trail:
         steps, num, den = state.steps, state.num, state.den
         used.update(state.indices)
-    vertices = net.vertices
+    vertices, phi = net.vertices, _integer_lift(net)[2]
     for pair in pairs[shared:]:
         if steps > budget:
             break
@@ -439,9 +417,10 @@ def find_positive_collection(
             return None
         used.difference_update(dead)
         used.update(path)
-        for _, a, b in hops:
-            num *= a
-            den *= b
+        num *= phi[src]
+        den *= phi[dst]
+        for _, w in hops:
+            num *= w
         trail.append(
             _Routed(pair, steps, tuple(path), tuple([vertices[k] for k in path]), num, den)
         )

@@ -1,8 +1,9 @@
 """Independently coded oracles and test-input builders.
 
 None of these is reached by a command of the package: each serves only
-to check what the package computes another way (path enumeration next
-to the weight-matrix sweep, the weight table read back off a network,
+to check what the package computes another way (path enumeration over
+the network's own Fraction weights, read off its edges, next to the
+sweep over its integer lift; the weight table read back off a network;
 the standard weights' per-path denominators) or to build test inputs
 (the unit grid, identity matrices, constants from extra pairs, a
 network rebuilt from its JSON export).  The tests import them as
@@ -41,14 +42,24 @@ def constants_from_extras(
     return FamilyConstants(((0, 1), *extras))
 
 
+def adjacency(net: PlanarNetwork) -> dict[Vertex, list[tuple[Vertex, Fraction]]]:
+    """(head, weight) of each edge out of a vertex, zero weights included,
+    read off net.edges in their order."""
+    adj: dict[Vertex, list[tuple[Vertex, Fraction]]] = {}
+    for tail, head, w in net.edges:
+        adj.setdefault(tail, []).append((head, w))
+    return adj
+
+
 def count_paths(net: PlanarNetwork, src: Vertex, dst: Vertex) -> int:
     """Number of directed paths, zero-weight edges included."""
+    adj = adjacency(net)
     dp: dict[Vertex, int] = {src: 1}
     for v in net.vertices:
         val = dp.get(v)
         if not val:
             continue
-        for head, _ in net.adjacency.get(v, ()):
+        for head, _ in adj.get(v, ()):
             dp[head] = dp.get(head, 0) + val
     return dp.get(dst, 0)
 
@@ -60,7 +71,8 @@ def iter_paths(
     edge_ok: Optional[Callable[[Vertex, Vertex, Fraction], bool]] = None,
 ) -> Iterator[tuple[tuple[Vertex, ...], Fraction]]:
     """Yield (vertex tuple, weight product) for every src -> dst path."""
-    if src not in net.adjacency and src != dst:
+    adj = adjacency(net)
+    if src not in adj and src != dst:
         return
     limit_col = dst[0]
     stack_path: list[Vertex] = [src]
@@ -71,7 +83,7 @@ def iter_paths(
             return
         if v[0] >= limit_col:
             return
-        for head, w in net.adjacency.get(v, ()):
+        for head, w in adj.get(v, ()):
             if edge_ok is not None and not edge_ok(v, head, w):
                 continue
             stack_path.append(head)

@@ -63,9 +63,9 @@ class TestVerify:
         assert "error" in payload
 
     def test_budget_bounds_only_the_fallback_walk(self, capsys):
-        """C(30, 20) subsets are over the budget, but the certificate proves
-        them all without the walk."""
-        code, cert = run_json(capsys, ["verify", "--m", "20", "--budget", "1000"])
+        """C(30, 20) subsets are over the walk's budget of 10^7, but the
+        certificate proves them all without the walk."""
+        code, cert = run_json(capsys, ["verify", "--m", "20"])
         assert code == 0
         gp = cert["checks"][3]["report"]
         assert (gp["method"], gp["claim"], gp["mode"]) == (
@@ -75,9 +75,9 @@ class TestVerify:
 
     def test_refused_certificate_past_the_budget_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("totalpos.families._row_order", lambda m: list(range(3 * m // 2)))
-        code, payload = run_json(capsys, ["verify", "--m", "20", "--budget", "1000"])
+        code, payload = run_json(capsys, ["verify", "--m", "20"])
         assert code == 2
-        assert "exceeds the budget 1000" in payload["error"]
+        assert "exceeds the budget 10000000" in payload["error"]
 
     @pytest.mark.parametrize("m", [64, 100])
     def test_large_m_is_proved(self, capsys, m):
@@ -122,6 +122,13 @@ class TestVerify:
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--m", "4", "--threads", "2"])
+        assert info.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "unrecognized arguments" in payload["error"]
+
+    def test_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--m", "4", "--budget", "5"])
         assert info.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert "unrecognized arguments" in payload["error"]
@@ -189,6 +196,18 @@ class TestLgvCheck:
         with pytest.raises(SystemExit) as info:
             main(["lgv-check", "--m", "4", "--trials", "8"])
         assert info.value.code == 2
+
+    def test_budget_error_names_the_trial(self, capsys):
+        """The oracle's budget stops the run at one trial; the error gives
+        that trial's number, its rows and columns, and the passes before it."""
+        code, payload = run_json(
+            capsys, ["lgv-check", "--m", "12", "--trials", "100", "--max-size", "5", "--seed", "5"]
+        )
+        assert code == 2 and set(payload) == {"error"}
+        assert payload["error"] == (
+            "trial 20 of 100 (rows [1, 4, 5, 6, 7], cols [1, 3, 7, 8, 11]), after 19 passed: "
+            "path-count product exceeds enumeration budget 10000000"
+        )
 
 
 class TestExtend:

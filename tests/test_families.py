@@ -272,6 +272,17 @@ def stacked(coords):
     return ExactMatrix.from_rows([[int(i == j) for j in range(c)] for i in range(c)] + coords)
 
 
+def macmahon(a: int, b: int, c: int) -> Fraction:
+    """MacMahon's count of plane partitions in an a x b x c box,
+    prod_{i<=a, j<=b} (i+j+c-1)/(i+j-1), one falling factorial over
+    another for each i."""
+    num = den = 1
+    for i in range(1, a + 1):
+        num *= math.perm(i + b + c - 1, b)
+        den *= math.perm(i + b - 1, b)
+    return Fraction(num, den)
+
+
 class TestPositiveGrassmannianCertificate:
     @pytest.mark.parametrize("m", range(2, 20, 2))
     def test_matches_the_exhaustive_walk(self, m):
@@ -320,6 +331,26 @@ class TestPositiveGrassmannianCertificate:
         for i, j, k, value in cert.initial_minors:
             assert min(i, j) == 0
             assert determinant(C.submatrix(range(i, i + k), range(j, j + k))) == value > 0
+
+    def test_initial_minors_are_macmahon_box_counts(self):
+        """Every recorded initial minor (top row i, left column j, size k)
+        of C' is a count of plane partitions in a box: 1 down the left
+        column, and along the top row a box whose sides depend on where
+        the window meets the boundary t between B1 and D."""
+        assert [macmahon(n, n, n) for n in range(1, 5)] == [2, 20, 980, 232848]
+        assert macmahon(2, 3, 0) == macmahon(0, 3, 4) == 1
+        for m in [*range(4, 42, 2), 64]:
+            t = m // 2
+            for i, j, k, x in general_position(m).certificate.initial_minors:
+                if i > 0:
+                    want = 1
+                elif j + k <= t:
+                    want = macmahon(k, j, t - j)
+                elif j < t:
+                    want = macmahon(k, t - j, t - k)
+                else:
+                    want = macmahon(k, j - t, 2 * t - k - j)
+                assert x == want, (m, i, j, k)
 
     @pytest.mark.parametrize(
         "coords, refused",

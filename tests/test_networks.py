@@ -26,7 +26,7 @@ from totalpos.matrices import ExactMatrix
 from totalpos.networks import PathCollection, Vertex, _boundary_pairs, _integer_lift
 from totalpos.three_section import SectionWeights, weight_key_set
 
-from oracles import build_grid, count_paths, iter_paths, network_from_json
+from oracles import adjacency, build_grid, count_paths, iter_paths, network_from_json
 
 
 def positive_collection_oracle(
@@ -42,6 +42,7 @@ def positive_collection_oracle(
     caps visited search states.
     """
     pairs = _boundary_pairs(net, rows, cols)
+    adj = adjacency(net)
     steps = 0
     used: set[Vertex] = set()
     out_paths: list[tuple[Vertex, ...]] = []
@@ -73,7 +74,7 @@ def positive_collection_oracle(
                 return False
             if v[0] >= limit_col:
                 return False
-            for head, w in net.adjacency.get(v, ()):
+            for head, w in adj.get(v, ()):
                 if w > 0 and head not in used:
                     path.append(head)
                     if walk(head):
@@ -87,7 +88,7 @@ def positive_collection_oracle(
         weight = Fraction(1)
         for p in out_paths:
             for a, b in zip(p, p[1:]):
-                for head, w in net.adjacency[a]:
+                for head, w in adj[a]:
                     if head == b:
                         weight *= w
                         break
@@ -98,6 +99,7 @@ def positive_collection_oracle(
 def weight_matrix_oracle(net: PlanarNetwork) -> ExactMatrix:
     """Independent oracle: entry (i, j) is the weight sum over source-i ->
     sink-j paths, by one Fraction sweep per source over a vertex dict."""
+    adj = adjacency(net)
     zero = Fraction(0)
     rows = []
     for s in net.sources:
@@ -106,7 +108,7 @@ def weight_matrix_oracle(net: PlanarNetwork) -> ExactMatrix:
             val = dp.get(v)
             if not val:
                 continue
-            for head, w in net.adjacency.get(v, ()):
+            for head, w in adj.get(v, ()):
                 if w:
                     dp[head] = dp.get(head, zero) + val * w
         rows.append([dp.get(t, zero) for t in net.sinks])
@@ -446,8 +448,9 @@ BUILT_IN_NETWORKS = (
 
 
 class TestIntegerLift:
-    """weight_matrix and lgv_oracle_minor run on the integer lift; the
-    Fraction oracles above run on the network itself."""
+    """weight_matrix, lgv_oracle_minor and witness routing run on the
+    integer lift; the Fraction oracles above run on the network's own
+    edges."""
 
     def test_lift_is_built_once_per_network(self):
         """Every consumer reads the one lift, and witness routing numbers
@@ -462,17 +465,51 @@ class TestIntegerLift:
         assert _integer_lift(build_three_section(standard_weights(8))) is not lift
 
     def test_random_networks_cover_the_hard_cases(self):
-        skips = zeros = negatives = fractions = mixed_columns = 0
+        """Including sources with a fractional in-edge: their potential is
+        not 1, so the sums of paths from them are multiplied back by it."""
+        skips = zeros = negatives = fractions = mixed_columns = fed_sources = 0
         for seed in range(80):
             net = random_network(seed)
             columns = sorted({c for c, _ in net.vertices})
-            for (c1, _), (c2, _), w in net.edges:
+            for (c1, _), (c2, l2), w in net.edges:
                 skips += columns.index(c2) > columns.index(c1) + 1
                 zeros += w == 0
                 negatives += w < 0
                 fractions += w.denominator > 1
+                fed_sources += w.denominator > 1 and (c2, l2) in net.sources
             mixed_columns += len({v[0] for v in net.sources + net.sinks}) > 2
-        assert min(skips, zeros, negatives, fractions, mixed_columns) > 0
+        assert min(skips, zeros, negatives, fractions, mixed_columns, fed_sources) > 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda seed=seed: random_network(seed) for seed in range(80)]
+        + [b for _, b in BUILT_IN_NETWORKS],
+        ids=[f"random-{seed}" for seed in range(80)] + [name for name, _ in BUILT_IN_NETWORKS],
+    )
+    def test_lifted_weights_are_the_potential_ratios(self, build):
+        """Each nonzero edge u -> v of weight n/d lifts to exactly
+        n * phi(v) / (phi(u) * d), in edge order; zero edges are left out,
+        and a vertex with no nonzero in-edge has potential 1."""
+        net = build()
+        index, adj, phi = _integer_lift(net)
+        assert all(isinstance(p, int) and p > 0 for p in phi)
+        expected: list[list[tuple[int, Fraction]]] = [[] for _ in phi]
+        fed = set()
+        for tail, head, w in net.edges:
+            if w:
+                u, v = index[tail], index[head]
+                expected[u].append((v, w * phi[v] / phi[u]))
+                fed.add(v)
+        assert adj == expected
+        assert all(phi[k] == 1 for k in range(len(phi)) if k not in fed)
+
+    @pytest.mark.parametrize("m, bits", [(40, 80), (100, 256)])
+    def test_potentials_stay_small_on_the_standard_network(self, m, bits):
+        """The sweep's integers carry the potentials, which grow with the
+        levels; a scale per column, the product of the denominators of
+        every earlier column, reaches 997 bits at m=40 and 6,694 at m=100."""
+        phi = _integer_lift(build_three_section(standard_weights(m)))[2]
+        assert max(p.bit_length() for p in phi) <= bits
 
     @pytest.mark.parametrize("seed", range(80))
     def test_weight_matrix_matches_oracle_on_random_networks(self, seed):
@@ -585,6 +622,22 @@ class TestPositiveCollections:
                         assert got.to_json_dict() == want.to_json_dict(), (rows, cols)
                         found += 1
         assert found > 0
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_routed_collections_are_genuine_on_random_networks(self, seed):
+        """Off the planar shapes routing may miss a collection, but one it
+        returns is the backtracking oracle's, weight included, also from
+        sources whose potential is not 1."""
+        net = random_network(seed)
+        n = min(len(net.sources), len(net.sinks), 3)
+        for size in range(1, n + 1):
+            for rows in combinations(range(1, len(net.sources) + 1), size):
+                for cols in combinations(range(1, len(net.sinks) + 1), size):
+                    got = find_positive_collection(net, rows, cols)
+                    if got is not None:
+                        want = positive_collection_oracle(net, rows, cols)
+                        assert want is not None, (rows, cols)
+                        assert got.to_json_dict() == want.to_json_dict(), (rows, cols)
 
     def test_budget_guard(self):
         net = build_three_section(standard_weights(6))
