@@ -33,7 +33,6 @@ from .matrices import (
     diagonal,
     is_totally_nonnegative,
     is_totally_positive,
-    matmul,
     maximal_minor_scan,
     minor,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "diagonal",
     "is_totally_nonnegative",
     "is_totally_positive",
-    "matmul",
     "maximal_minor_scan",
     "minor",
     # polynomials

@@ -30,13 +30,17 @@ from .matrices import (
     _positive_grassmannian,
     determinant,
     diagonal,
-    matmul,
     maximal_minor_scan,
 )
 from .networks import find_positive_collection, weight_matrix
 from .poly import Polynomial
 from .scalars import format_rational
-from .three_section import build_three_section, closed_form_matrix, standard_weights
+from .three_section import (
+    build_three_section,
+    closed_form_entry,
+    closed_form_matrix,
+    standard_weights,
+)
 
 __all__ = [
     "family_polys",
@@ -98,6 +102,29 @@ def block_determinants(m: int) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
+def _sign_vectors(m: int) -> tuple[list[int], list[int]]:
+    """(left, right): the diagonals of the sign factorization's outer
+    factors.  right is (-1)^i for i=1..t, then (-1)^(t+i) for i=1..t;
+    left is right followed by t ones."""
+    t = _check_even(m)
+    right = [(-1) ** i for i in range(1, t + 1)] + [
+        (-1) ** (t + i) for i in range(1, t + 1)
+    ]
+    return right + [1] * t, right
+
+
+def _block_rows(m: int) -> list[list[int]]:
+    """The block matrix as integer rows, each entry from closed_form_entry."""
+    cols = range(1, m + 1)
+    return [[closed_form_entry(i, j, m) for j in cols] for i in cols]
+
+
+def _stack_rows(m: int) -> list[list[int]]:
+    """The middle factor as integer rows: the t x m identity over the block."""
+    t = _check_even(m)
+    return [[int(i == j) for j in range(m)] for i in range(t)] + _block_rows(m)
+
+
 def sign_factorization_matrices(m: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """(left diagonal, middle stack, right diagonal) whose product is the
     coefficient matrix of the family.
@@ -106,34 +133,35 @@ def sign_factorization_matrices(m: int) -> tuple[ExactMatrix, ExactMatrix, Exact
     Middle: identity over (B1 B2) over (0 B3), 3t x m.
     Right: diag((-1)^i for i=1..t, (-1)^(t+i) for i=1..t).
     """
-    t = _check_even(m)
-    left = diagonal(
-        [(-1) ** i for i in range(1, t + 1)]
-        + [(-1) ** (t + i) for i in range(1, t + 1)]
-        + [1] * t
-    )
-    block = binomial_block_matrix(m)
-    mid_rows = [
-        [Fraction(int(i == j)) for j in range(m)] for i in range(t)
-    ] + [list(row) for row in block.entries]
-    middle = ExactMatrix.from_rows(mid_rows)
-    right = diagonal(
-        [(-1) ** i for i in range(1, t + 1)] + [(-1) ** (t + i) for i in range(1, t + 1)]
-    )
-    return left, middle, right
+    left, right = _sign_vectors(m)
+    return diagonal(left), ExactMatrix.from_rows(_stack_rows(m)), diagonal(right)
 
 
 def sign_factorization_check(m: int) -> bool:
-    """Exact equality of the three-factor product with the coefficient rows."""
-    left, middle, right = sign_factorization_matrices(m)
-    product = matmul(matmul(left, middle), right)
-    return product == coefficient_matrix(family_polys(m), m)
+    """Exact equality of the three-factor product with the coefficient rows,
+    entrywise on integers.
+
+    Scaling by a diagonal on either side scales the entries, so the
+    product's entry (i, j) is left[i] * S[i][j] * right[j], with S the
+    middle stack (_stack_rows) and left, right the sign vectors: each
+    coefficient of the family is compared with that integer, no matrix
+    product formed.
+    """
+    left, right = _sign_vectors(m)
+    rows = [p.padded(m) for p in family_polys(m)]
+    stack = _stack_rows(m)
+    return len(rows) == len(stack) == len(left) and all(
+        list(row) == [l * x * r for x, r in zip(srow, right)]
+        for row, srow, l in zip(rows, stack, left)
+    )
 
 
 def verify_network_equals_block_matrix(m: int) -> bool:
-    """Weight matrix of the standard network equals the block matrix, entrywise."""
+    """Weight matrix of the standard network equals the block matrix,
+    entrywise: each entry of the one weight_matrix sweep against the
+    integer closed_form_entry."""
     net = build_three_section(standard_weights(m))
-    return weight_matrix(net) == binomial_block_matrix(m)
+    return weight_matrix(net).to_lists() == _block_rows(m)
 
 
 def _row_order(m: int) -> list[int]:

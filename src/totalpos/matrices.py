@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import operator
 import os
 import random
 import sys
@@ -85,7 +84,6 @@ __all__ = [
     "TPCertificate",
     "determinant",
     "minor",
-    "matmul",
     "diagonal",
     "is_totally_nonnegative",
     "is_totally_positive",
@@ -274,22 +272,6 @@ def minor(matrix: ExactMatrix, query: MinorQuery) -> Fraction:
         raise ValueError("minor query indices out of range")
     sub = matrix.submatrix([i - 1 for i in query.rows], [j - 1 for j in query.cols])
     return determinant(sub)
-
-
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """The exact product, from integer dot products: a and the transpose of
-    b are each lifted to integers over one common denominator, and each
-    entry is one Fraction of an integer dot product over the two."""
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions must agree")
-    rows, sa = _int_lift(a.entries)
-    cols, sb = _int_lift(list(zip(*b.entries)))
-    return ExactMatrix(
-        tuple(
-            tuple(Fraction(sum(map(operator.mul, x, y)), sa * sb) for y in cols)
-            for x in rows
-        )
-    )
 
 
 def diagonal(values: Sequence) -> ExactMatrix:

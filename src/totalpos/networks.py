@@ -67,26 +67,45 @@ class PlanarNetwork:
     __slots__ = ("vertices", "edges", "sources", "sinks", "_lift", "_routes", "_trail")
 
     def __init__(self, vertices, edges, sources, sinks):
-        vset = {_as_vertex(v) for v in vertices}
+        """Validate and normalize: coordinates must be integers (bool
+        refused), every edge must join two vertices, strictly increase the
+        column and appear once, and weights must be exact rationals (float,
+        complex and bool refused), stored as Fraction.
+
+        A coordinate whose type is exactly int, and a weight that is
+        already a Fraction, are taken as they are; only other values go
+        through the type checks and the conversion, so the same inputs are
+        refused with the same messages.
+        """
+        vset = {
+            (c, l) if type(c) is type(l) is int else _as_vertex((c, l))
+            for c, l in vertices
+        }
         norm_edges = []
         seen = set()
-        for tail, head, w in edges:
-            tail, head = _as_vertex(tail), _as_vertex(head)
+        for (tc, tl), (hc, hl), w in edges:
+            if type(tc) is type(tl) is type(hc) is type(hl) is int:
+                tail, head = (tc, tl), (hc, hl)
+            else:
+                tail, head = _as_vertex((tc, tl)), _as_vertex((hc, hl))
             if tail not in vset or head not in vset:
                 raise ValueError(f"edge endpoint not a vertex: {tail} -> {head}")
-            if head[0] <= tail[0]:
+            if hc <= tc:
                 raise ValueError(
                     f"edge must strictly increase column: {tail} -> {head}"
                 )
-            if (tail, head) in seen:
+            key = tail, head
+            if key in seen:
                 raise ValueError(f"duplicate edge: {tail} -> {head}")
-            seen.add((tail, head))
-            if isinstance(w, (bool, float, complex)):
-                raise ValueError(
-                    f"edge weight must be an exact rational, got "
-                    f"{type(w).__name__} {w!r}: {tail} -> {head}"
-                )
-            norm_edges.append((tail, head, Fraction(w)))
+            seen.add(key)
+            if type(w) is not Fraction:
+                if isinstance(w, (bool, float, complex)):
+                    raise ValueError(
+                        f"edge weight must be an exact rational, got "
+                        f"{type(w).__name__} {w!r}: {tail} -> {head}"
+                    )
+                w = Fraction(w)
+            norm_edges.append((tail, head, w))
         src = tuple(_as_vertex(v) for v in sources)
         snk = tuple(_as_vertex(v) for v in sinks)
         for name, seq in (("sources", src), ("sinks", snk)):

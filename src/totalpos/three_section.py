@@ -59,7 +59,9 @@ class SectionWeights:
 
     left and right map (i, j) over weight_key_set(n); middle lists one
     weight per level 1..n.  Values are normalized to Fraction; float,
-    complex and bool values are rejected as inexact.
+    complex and bool values are rejected as inexact.  Each table is sorted
+    once, and only values that are not already Fraction are checked and
+    converted.
     """
 
     n: int
@@ -78,14 +80,19 @@ class SectionWeights:
                     f"{name} weights must be keyed by exactly the pairs "
                     f"(i, j) with i, j >= 1 and i + j <= {self.n}"
                 )
-            for k, v in sorted(table.items()):
-                _check_exact(v, f"{name} weight {k}")
-            object.__setattr__(
-                self, name, {k: Fraction(v) for k, v in sorted(table.items())}
-            )
+            items = sorted(table.items())
+            for k, v in items:
+                if type(v) is not Fraction:
+                    _check_exact(v, f"{name} weight {k}")
+            object.__setattr__(self, name, {
+                k: v if type(v) is Fraction else Fraction(v) for k, v in items
+            })
         for level, v in enumerate(self.middle, 1):
-            _check_exact(v, f"middle weight at level {level}")
-        middle = tuple(Fraction(v) for v in self.middle)
+            if type(v) is not Fraction:
+                _check_exact(v, f"middle weight at level {level}")
+        middle = tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.middle
+        )
         if len(middle) != self.n:
             raise ValueError(f"middle must list exactly {self.n} weights")
         object.__setattr__(self, "middle", middle)
@@ -102,17 +109,18 @@ def standard_weights(m: int) -> SectionWeights:
     if isinstance(m, bool) or not isinstance(m, int) or m < 2 or m % 2:
         raise ValueError("m must be an even integer >= 2")
     t = m // 2
+    zero, one = Fraction(0), Fraction(1)
     left = {}
     right = {}
     for i, j in weight_key_set(m):
-        left[(i, j)] = Fraction(1 if i + j <= t else 0)
+        left[(i, j)] = one if i + j <= t else zero
         if j > t:
-            right[(i, j)] = Fraction(0)
+            right[(i, j)] = zero
         elif i <= t:
             right[(i, j)] = Fraction(i + t - j, i + j - 1)
         else:
             right[(i, j)] = Fraction(m - i - j + 1, i + j - 1)
-    return SectionWeights(n=m, left=left, middle=(Fraction(1),) * m, right=right)
+    return SectionWeights(n=m, left=left, middle=(one,) * m, right=right)
 
 
 def build_three_section(weights: SectionWeights) -> PlanarNetwork:
@@ -130,11 +138,12 @@ def build_three_section(weights: SectionWeights) -> PlanarNetwork:
     """
     n = weights.n
     last = 2 * n - 1
+    one = Fraction(1)
     vertices = [(c, lvl) for c in range(last + 1) for lvl in range(1, n + 1)]
     edges = []
     for c in range(last):
         for lvl in range(1, n + 1):
-            w = weights.middle[lvl - 1] if c == n - 1 else Fraction(1)
+            w = weights.middle[lvl - 1] if c == n - 1 else one
             edges.append(((c, lvl), (c + 1, lvl), w))
     for d, j in weight_key_set(n):
         lvl = d + j - 1  # lower endpoint level

@@ -4,15 +4,17 @@ None of these is reached by a command of the package: each serves only
 to check what the package computes another way (path enumeration over
 the network's own Fraction weights, read off its edges, next to the
 sweep over its integer lift; the weight table read back off a network;
-the standard weights' per-path denominators) or to build test inputs
-(the unit grid, identity matrices, constants from extra pairs, a
-network rebuilt from its JSON export).  The tests import them as
+the standard weights' per-path denominators; the matrix product, which
+the sign factorization is checked against) or to build test inputs (the
+unit grid, identity matrices, constants from extra pairs, a network
+rebuilt from its JSON export).  The tests import them as
 ``oracles``; pytest puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -24,6 +26,7 @@ from totalpos import (
     SectionWeights,
     weight_key_set,
 )
+from totalpos.matrices import _int_lift
 
 Vertex = tuple[int, int]  # (column, level)
 
@@ -32,6 +35,22 @@ def identity(n: int) -> ExactMatrix:
     one, zero = Fraction(1), Fraction(0)
     return ExactMatrix(
         tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    )
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The exact product, from integer dot products: a and the transpose of
+    b are each lifted to integers over one common denominator, and each
+    entry is one Fraction of an integer dot product over the two."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions must agree")
+    rows, sa = _int_lift(a.entries)
+    cols, sb = _int_lift(list(zip(*b.entries)))
+    return ExactMatrix(
+        tuple(
+            tuple(Fraction(sum(map(operator.mul, x, y)), sa * sb) for y in cols)
+            for x in rows
+        )
     )
 
 

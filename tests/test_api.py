@@ -21,7 +21,7 @@ GONE = {
     "totalpos.networks": ["import_json", "iter_paths", "count_paths", "build_grid"],
     "totalpos.three_section": ["extract_weights", "ascent_level_product"],
     "totalpos.families": ["certified_general_position"],
-    "totalpos.matrices": ["identity"],
+    "totalpos.matrices": ["identity", "matmul"],
     "totalpos.surface": ["constants_from_extras"],
     "totalpos.cli": ["_cmd_bench", "_m_list"],
 }

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from totalpos import build_three_section, ext_rational, hyperplane_coefficients, standard_weights
+import totalpos.families
+from totalpos import (
+    SectionWeights,
+    build_three_section,
+    ext_rational,
+    hyperplane_coefficients,
+    standard_weights,
+)
 from totalpos.cli import main
 
 from oracles import network_from_json
@@ -44,6 +51,32 @@ class TestVerify:
         gp = cert["checks"][3]["report"]
         assert gp["total_subsets"] == 15
         assert gp["failures"] == []
+
+    @pytest.mark.parametrize("patch, failing", [
+        ("signs", "sign_factorization"),
+        ("weights", "network_matrix_identity"),
+    ])
+    def test_failed_identity_check_fails_the_certificate(self, capsys, monkeypatch, patch, failing):
+        """One flipped sign, or one right weight of the standard network
+        off by one, fails exactly that check, and verify exits 1."""
+        if patch == "signs":
+            left, right = totalpos.families._sign_vectors(8)
+            monkeypatch.setattr(
+                totalpos.families, "_sign_vectors", lambda m: (left, [-right[0], *right[1:]]))
+        else:
+            w = standard_weights(8)
+            planted = SectionWeights(
+                n=8, left=w.left, middle=w.middle, right={**w.right, (1, 1): w.right[(1, 1)] + 1})
+            monkeypatch.setattr(totalpos.families, "standard_weights", lambda m: planted)
+        code, cert = run_json(capsys, ["verify", "--m", "8"])
+        assert code == 1 and cert["pass"] is False
+        passed = {c["name"]: c["pass"] for c in cert["checks"]}
+        assert passed == {
+            "sign_factorization": failing != "sign_factorization",
+            "block_determinants": True,
+            "network_matrix_identity": failing != "network_matrix_identity",
+            "general_position": True,
+        }
 
     def test_odd_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -12,6 +12,7 @@ from totalpos import (
     MinorQuery,
     Polynomial,
     ScanBudgetError,
+    SectionWeights,
     binomial,
     binomial_block_matrix,
     block_determinants,
@@ -20,7 +21,6 @@ from totalpos import (
     determinant,
     family_polys,
     general_position,
-    matmul,
     minor,
     positive_minor_scan,
     sign_factorization_check,
@@ -32,6 +32,7 @@ from totalpos import (
 from totalpos.families import PositiveMinorReport
 from totalpos.matrices import _build_context, _positive_grassmannian, maximal_minor_scan
 
+from oracles import matmul
 from test_networks import positive_collection_oracle
 
 
@@ -183,6 +184,38 @@ class TestFactorization:
             assert product.to_lists() == coefficient_matrix(family_polys(m), m).to_lists()
             assert sign_factorization_check(m)
 
+    @pytest.mark.parametrize("m", range(2, 42, 2))
+    def test_integer_check_agrees_with_the_matrix_product(self, m):
+        """The entrywise integer check decides the same identity as the
+        product of the three factors."""
+        S1, B, S2 = sign_factorization_matrices(m)
+        product_ok = matmul(matmul(S1, B), S2) == coefficient_matrix(family_polys(m), m)
+        assert sign_factorization_check(m) is product_ok is True
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 3), (3, 0), (5, 7), (11, 7), (8, 2)])
+    def test_fails_on_one_perturbed_coefficient(self, monkeypatch, row, col):
+        """m=8 has 12 rows: identity rows 0..3 (col 3 of row 1 lies past its
+        degree), the (z-1) powers 4..7 and the mixed rows 8..11."""
+        polys = list(family_polys(8))
+        coeffs = list(polys[row].padded(8))
+        coeffs[col] += 1
+        polys[row] = Polynomial.make(coeffs)
+        monkeypatch.setattr(totalpos.families, "family_polys", lambda m: tuple(polys))
+        assert not sign_factorization_check(8)
+
+    @pytest.mark.parametrize("side, k", [(0, 0), (0, 5), (0, 11), (1, 0), (1, 6)])
+    def test_fails_on_one_flipped_sign(self, monkeypatch, side, k):
+        signs = totalpos.families._sign_vectors(8)
+        flipped = [list(signs[0]), list(signs[1])]
+        flipped[side][k] = -flipped[side][k]
+        monkeypatch.setattr(totalpos.families, "_sign_vectors", lambda m: tuple(flipped))
+        assert not sign_factorization_check(8)
+
+    def test_fails_on_a_missing_row(self, monkeypatch):
+        polys = family_polys(8)[:-1]
+        monkeypatch.setattr(totalpos.families, "family_polys", lambda m: polys)
+        assert not sign_factorization_check(8)
+
     def test_middle_factor_stacks_identity_over_the_block(self):
         m, t = 6, 3
         _, mid, _ = sign_factorization_matrices(m)
@@ -211,6 +244,20 @@ class TestNetworkIdentity:
             assert verify_network_equals_block_matrix(m)
             net = build_three_section(standard_weights(m))
             assert weight_matrix(net).to_lists() == binomial_block_matrix(m).to_lists()
+
+
+    @pytest.mark.parametrize("key", [(1, 1), (2, 3), (4, 1), (5, 2), (7, 1)])
+    def test_fails_on_one_perturbed_right_weight(self, monkeypatch, key):
+        """Each of these right weights of the m=8 network is nonzero; adding
+        one to it changes the weight matrix."""
+        weights = standard_weights(8)
+        assert weights.right[key] != 0
+        planted = SectionWeights(
+            n=8, left=weights.left, middle=weights.middle,
+            right={**weights.right, key: weights.right[key] + 1},
+        )
+        monkeypatch.setattr(totalpos.families, "standard_weights", lambda m: planted)
+        assert not verify_network_equals_block_matrix(8)
 
 
 def family_walk(m, exhaustive_limit=10**7):

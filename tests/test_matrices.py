@@ -31,7 +31,6 @@ from totalpos import (
     general_position,
     is_totally_nonnegative,
     is_totally_positive,
-    matmul,
     maximal_minor_scan,
     minor,
     verify_extended_general_position,
@@ -51,7 +50,7 @@ from totalpos.matrices import (
     _scan_report,
 )
 
-from oracles import constants_from_extras, identity
+from oracles import constants_from_extras, identity, matmul
 
 
 def cofactor_determinant(rows):

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -304,6 +305,57 @@ class TestValidation:
     def test_boundary_must_be_nonempty(self):
         with pytest.raises(ValueError):
             PlanarNetwork(vertices=[(0, 1)], edges=[], sources=[], sinks=[(0, 1)])
+
+    @pytest.mark.parametrize("where", ["vertex", "tail", "head", "source", "sink"])
+    @pytest.mark.parametrize("bad", [(True, 1), (0, False), (0.0, 1), (0, 1.0)])
+    def test_non_integer_coordinates_rejected(self, where, bad):
+        """bool and float coordinates are refused wherever a vertex is
+        named, an edge endpoint included."""
+        good = (0, 1)
+        vertices = [bad if where == "vertex" else good, (1, 1)]
+        tail = bad if where == "tail" else good
+        head = bad if where == "head" else (1, 1)
+        sources = [bad if where == "source" else good]
+        sinks = [bad if where == "sink" else (1, 1)]
+        message = "vertex coordinates must be integers"
+        if isinstance(bad[0], float) or isinstance(bad[1], float):
+            message += re.escape(f": {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            PlanarNetwork(vertices, [(tail, head, Fraction(1))], sources, sinks)
+
+    def test_int_subclass_coordinates_accepted(self):
+        """Coordinates of an int subclass take the checked path and are
+        accepted; the network equals the one over plain ints."""
+
+        class Level(int):
+            pass
+
+        plain = tiny_net()
+        net = PlanarNetwork(
+            [(c, Level(l)) for c, l in plain.vertices],
+            [((a, Level(b)), (c, Level(d)), w) for (a, b), (c, d), w in plain.edges],
+            [(c, Level(l)) for c, l in plain.sources],
+            [(c, Level(l)) for c, l in plain.sinks],
+        )
+        assert net == plain
+        assert weight_matrix(net) == weight_matrix(plain)
+
+    @pytest.mark.parametrize("coord", [int, type("Column", (int,), {})], ids=["int", "subclass"])
+    @pytest.mark.parametrize("weight", [Fraction(2), 2, "2"])
+    def test_edge_checks_on_every_input_type(self, coord, weight):
+        """The endpoint, column and duplicate checks hold whether the
+        coordinates are plain ints or not and whether the weight is
+        already a Fraction or not."""
+        v = [(coord(0), 1), (coord(1), 1), (coord(1), 2)]
+        build = lambda edges: PlanarNetwork(v, edges, [v[0]], [v[1]])
+        with pytest.raises(ValueError, match=re.escape("edge endpoint not a vertex: (0, 1) -> (2, 1)")):
+            build([(v[0], (coord(2), 1), weight)])
+        for back in ((v[1], v[0]), (v[1], v[2])):
+            with pytest.raises(ValueError, match="edge must strictly increase column"):
+                build([(*back, weight)])
+        with pytest.raises(ValueError, match=re.escape("duplicate edge: (0, 1) -> (1, 2)")):
+            build([(v[0], v[2], weight), (v[0], v[1], weight), (v[0], v[2], weight)])
+        assert build([(v[0], v[2], weight)]).edges == (((0, 1), (1, 2), Fraction(2)),)
 
     @pytest.mark.parametrize("weight", [0.1, 1.0, 1j, True, False])
     def test_inexact_weights_rejected(self, weight):

@@ -134,10 +134,34 @@ class TestSectionWeights:
         with pytest.raises(ValueError, match="middle weight at level 2 must be an exact rational"):
             SectionWeights(n=2, left={(1, 1): exact}, middle=(exact, weight), right={(1, 1): exact})
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, False, True])
+    @pytest.mark.parametrize("table", ["left", "right", "middle"])
+    def test_one_inexact_value_among_fractions_rejected(self, table, bad):
+        """Values that are already Fraction skip the checks; one float or
+        bool among them is still refused, by its key or level."""
+        w = standard_weights(6)
+        parts = {"left": w.left, "middle": w.middle, "right": w.right}
+        if table == "middle":
+            parts["middle"] = (*w.middle[:4], bad, w.middle[5])
+            message = "middle weight at level 5 must be an exact rational"
+        else:
+            parts[table] = {**parts[table], (2, 3): bad}
+            message = rf"{table} weight \(2, 3\) must be an exact rational"
+        with pytest.raises(ValueError, match=message):
+            SectionWeights(n=6, **parts)
+
     def test_weights_normalize_to_fractions(self):
         w = SectionWeights(n=2, left={(1, 1): 1}, middle=(1, "1/2"), right={(1, 1): "2/4"})
         assert w.middle == (Fraction(1), Fraction(1, 2))
         assert w.right[(1, 1)] == Fraction(1, 2)
+        assert all(type(v) is Fraction for v in (*w.left.values(), *w.middle, *w.right.values()))
+
+    def test_tables_are_sorted_by_key(self):
+        w = standard_weights(6)
+        shuffled = dict(reversed(list(w.right.items())))
+        again = SectionWeights(n=6, left=w.left, middle=w.middle, right=shuffled)
+        assert list(again.right) == sorted(w.right) == list(w.right)
+        assert again == w
 
 
 class TestStandardWeights:
