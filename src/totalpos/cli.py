@@ -29,7 +29,13 @@ from .families import (
     verify_network_equals_block_matrix,
 )
 from .matrices import MinorQuery, minor
-from .networks import export_dot, export_json, lgv_oracle_minor, weight_matrix
+from .networks import (
+    PATH_BUDGET,
+    export_dot,
+    export_json,
+    lgv_oracle_minor,
+    weight_matrix,
+)
 from .scalars import format_rational, saalschuetz_check
 from .surface import (
     ExtPolynomial,
@@ -40,6 +46,7 @@ from .surface import (
     verify_extended_general_position,  # unused; perfbench/tracer.py wraps it here by name
 )
 from .three_section import (
+    _even_half,
     build_three_section,
     lemma_path_report,
     standard_weights,
@@ -61,8 +68,10 @@ def _even_m(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"m must be an integer, got {text!r}")
-    if value < 2 or value % 2:
-        raise argparse.ArgumentTypeError("m must be an even integer >= 2")
+    try:
+        _even_half(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -103,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-size", type=int, default=3, help="largest minor size drawn")
-    p.add_argument("--budget", type=int, default=10**7, help="oracle enumeration budget")
+    p.add_argument("--budget", type=int, default=PATH_BUDGET,
+                   help="oracle enumeration budget")
     add_common(p)
 
     p = sub.add_parser("extend", help="search extension constants, scan the "

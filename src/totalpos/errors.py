@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ScanBudgetError", "EnumerationBudgetError", "SearchExhaustedError"]
+
 
 class ScanBudgetError(RuntimeError):
     """A minor scan would exceed its configured size guard, or the largest

@@ -23,31 +23,28 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .matrices import (
+    EXHAUSTIVE_LIMIT,
     ExactMatrix,
     GeneralPositionReport,
-    _int_lift,
     _laplace_walk,
     _positive_grassmannian,
     determinant,
-    diagonal,
     maximal_minor_scan,
 )
 from .networks import find_positive_collection, weight_matrix
 from .poly import Polynomial
 from .scalars import format_rational
 from .three_section import (
+    _binomial_block,
+    _even_half,
     build_three_section,
-    closed_form_entry,
-    closed_form_matrix,
     standard_weights,
 )
 
 __all__ = [
     "family_polys",
     "coefficient_matrix",
-    "binomial_block_matrix",
     "block_determinants",
-    "sign_factorization_matrices",
     "sign_factorization_check",
     "verify_network_equals_block_matrix",
     "general_position",
@@ -56,15 +53,9 @@ __all__ = [
 ]
 
 
-def _check_even(m: int) -> int:
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"m must be even and >= 2, got {m}")
-    return m // 2
-
-
 def family_polys(m: int) -> tuple[Polynomial, ...]:
     """The 3t family members, in order, each of degree < m."""
-    t = _check_even(m)
+    t = _even_half(m)
     polys = [Polynomial.monomial(i - 1) for i in range(1, t + 1)]
     polys += [Polynomial.linear_power(1, i - 1) for i in range(t + 1, 2 * t + 1)]
     polys += [
@@ -79,25 +70,13 @@ def coefficient_matrix(polys: Sequence[Polynomial], width: int) -> ExactMatrix:
     return ExactMatrix.from_rows(p.padded(width) for p in polys)
 
 
-def binomial_block_matrix(m: int) -> ExactMatrix:
-    """The m x m binomial block matrix [[B1, B2], [0, B3]].
-
-    B1[i][j] = C(t+i-1, j-1), B2[i][j] = C(t+i-1, t+j-1) and
-    B3[i][j] = C(t-i, j-i), each t x t: entry (i, j) of the whole is
-    closed_form_entry(i, j, m).
-    """
-    _check_even(m)
-    return closed_form_matrix(m)
-
-
 def block_determinants(m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Determinants of the blocks B1, B2 and B3 of binomial_block_matrix;
-    each equals 1."""
-    t = _check_even(m)
-    block = binomial_block_matrix(m)
-    low, high = range(t), range(t, m)
+    """Determinants of the blocks B1, B2 and B3 of the binomial block
+    (three_section.closed_form_matrix); each equals 1."""
+    block = _binomial_block(m)
+    low, high = slice(0, m // 2), slice(m // 2, m)
     return tuple(
-        determinant(block.submatrix(rows, cols))
+        determinant(ExactMatrix.from_rows(row[cols] for row in block[rows]))
         for rows, cols in ((low, low), (low, high), (high, high))
     )
 
@@ -106,44 +85,28 @@ def _sign_vectors(m: int) -> tuple[list[int], list[int]]:
     """(left, right): the diagonals of the sign factorization's outer
     factors.  right is (-1)^i for i=1..t, then (-1)^(t+i) for i=1..t;
     left is right followed by t ones."""
-    t = _check_even(m)
+    t = _even_half(m)
     right = [(-1) ** i for i in range(1, t + 1)] + [
         (-1) ** (t + i) for i in range(1, t + 1)
     ]
     return right + [1] * t, right
 
 
-def _block_rows(m: int) -> list[list[int]]:
-    """The block matrix as integer rows, each entry from closed_form_entry."""
-    cols = range(1, m + 1)
-    return [[closed_form_entry(i, j, m) for j in cols] for i in cols]
-
-
 def _stack_rows(m: int) -> list[list[int]]:
     """The middle factor as integer rows: the t x m identity over the block."""
-    t = _check_even(m)
-    return [[int(i == j) for j in range(m)] for i in range(t)] + _block_rows(m)
-
-
-def sign_factorization_matrices(m: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """(left diagonal, middle stack, right diagonal) whose product is the
-    coefficient matrix of the family.
-
-    Left: diag((-1)^i for i=1..t, (-1)^(t+i) for i=1..t, 1 for i=1..t).
-    Middle: identity over (B1 B2) over (0 B3), 3t x m.
-    Right: diag((-1)^i for i=1..t, (-1)^(t+i) for i=1..t).
-    """
-    left, right = _sign_vectors(m)
-    return diagonal(left), ExactMatrix.from_rows(_stack_rows(m)), diagonal(right)
+    block = _binomial_block(m)
+    return [[int(i == j) for j in range(m)] for i in range(m // 2)] + block
 
 
 def sign_factorization_check(m: int) -> bool:
-    """Exact equality of the three-factor product with the coefficient rows,
-    entrywise on integers.
+    """Exact equality of the three-factor product diag(left) * S *
+    diag(right) with the coefficient rows, entrywise on integers: left
+    and right are the sign vectors (_sign_vectors), and S is the middle
+    stack (_stack_rows), the t x m identity over the block
+    [[B1, B2], [0, B3]], 3t x m.
 
     Scaling by a diagonal on either side scales the entries, so the
-    product's entry (i, j) is left[i] * S[i][j] * right[j], with S the
-    middle stack (_stack_rows) and left, right the sign vectors: each
+    product's entry (i, j) is left[i] * S[i][j] * right[j]: each
     coefficient of the family is compared with that integer, no matrix
     product formed.
     """
@@ -159,15 +122,15 @@ def sign_factorization_check(m: int) -> bool:
 def verify_network_equals_block_matrix(m: int) -> bool:
     """Weight matrix of the standard network equals the block matrix,
     entrywise: each entry of the one weight_matrix sweep against the
-    integer closed_form_entry."""
+    integer block."""
     net = build_three_section(standard_weights(m))
-    return weight_matrix(net).to_lists() == _block_rows(m)
+    return weight_matrix(net).to_lists() == _binomial_block(m)
 
 
 def _row_order(m: int) -> list[int]:
     """Rows 1..t, 3t, 3t-1, ..., 2t+1, then t+1..2t, 0-based: the order in
     which the family reduces to a totally positive coordinate matrix."""
-    t = _check_even(m)
+    t = _even_half(m)
     return [*range(t), *range(3 * t - 1, 2 * t - 1, -1), *range(t, 2 * t)]
 
 
@@ -177,7 +140,7 @@ def general_position(
     *,
     seed: Optional[int] = None,
     sample_count: Optional[int] = None,
-    exhaustive_limit: int = 10**7,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> GeneralPositionReport:
     """Whether every m-subset of the family is linearly independent.
 
@@ -259,9 +222,9 @@ def positive_minor_scan(
     minors are reported by (number of extra columns, extra columns,
     rows), each set in lex order.
     """
-    t = _check_even(m)
     t0 = time.perf_counter()
-    block = binomial_block_matrix(m)
+    block = _binomial_block(m)
+    t = m // 2
     tail = tuple(range(t, m))
     head = tuple(range(t))  # the tail's walk positions
     kept = []  # (extra columns, rows, value), 0-based
@@ -279,7 +242,7 @@ def positive_minor_scan(
             )
         return True
 
-    _laplace_walk(*_int_lift(list(zip(*block.entries))[::-1]), visit)
+    _laplace_walk(list(zip(*block))[::-1], 1, visit)
     kept.sort(key=lambda item: (len(item[0]), item[0], item[1]))
     net = build_three_section(standard_weights(m)) if with_witnesses else None
     violations = []

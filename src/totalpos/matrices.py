@@ -84,11 +84,16 @@ __all__ = [
     "TPCertificate",
     "determinant",
     "minor",
-    "diagonal",
     "is_totally_nonnegative",
     "is_totally_positive",
     "maximal_minor_scan",
 ]
+
+# Default budgets: the largest minor count a total-minor scan takes on
+# (size_guard), and the largest subset count an exhaustive maximal-minor
+# walk takes on (exhaustive_limit; families and surface share it).
+SIZE_GUARD = 10**6
+EXHAUSTIVE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -274,15 +279,6 @@ def minor(matrix: ExactMatrix, query: MinorQuery) -> Fraction:
     return determinant(sub)
 
 
-def diagonal(values: Sequence) -> ExactMatrix:
-    zero = Fraction(0)
-    vals = [Fraction(v) for v in values]
-    n = len(vals)
-    return ExactMatrix(
-        tuple(tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n))
-    )
-
-
 def _minor_count(rows: int, cols: int) -> int:
     # sum over k >= 1 of C(rows, k) * C(cols, k), by Vandermonde
     return math.comb(rows + cols, rows) - 1
@@ -403,7 +399,7 @@ def _total_scan(matrix: ExactMatrix, strict: bool, size_guard: int) -> ScanVerdi
     return ScanVerdict(False, MinorWitness(query, value))
 
 
-def is_totally_nonnegative(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVerdict:
+def is_totally_nonnegative(matrix: ExactMatrix, size_guard: int = SIZE_GUARD) -> ScanVerdict:
     """All minors >= 0; witness is the first violation in (size, lex) order.
 
     The C(r+c, r) - 1 minors come from the division-free Laplace walk over
@@ -414,7 +410,7 @@ def is_totally_nonnegative(matrix: ExactMatrix, size_guard: int = 10**6) -> Scan
     return _total_scan(matrix, strict=False, size_guard=size_guard)
 
 
-def is_totally_positive(matrix: ExactMatrix, size_guard: int = 10**6) -> ScanVerdict:
+def is_totally_positive(matrix: ExactMatrix, size_guard: int = SIZE_GUARD) -> ScanVerdict:
     """All minors > 0; witness is the first violation in (size, lex) order.
 
     Same Laplace walk and size_guard as is_totally_nonnegative.
@@ -761,7 +757,7 @@ def maximal_minor_scan(
     *,
     seed: Optional[int] = None,
     sample_count: Optional[int] = None,
-    exhaustive_limit: int = 10**7,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> GeneralPositionReport:
     """Scan row subsets of size cols; record every zero-determinant subset.
 

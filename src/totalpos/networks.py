@@ -51,6 +51,10 @@ __all__ = [
 
 Vertex = tuple[int, int]  # (column, level)
 
+# Default budget of lgv_oracle_minor (and of lgv-check --budget): the
+# largest product of per-pair path counts it enumerates.
+PATH_BUDGET = 10**7
+
 
 def _as_vertex(v) -> Vertex:
     c, l = v
@@ -256,7 +260,7 @@ def lgv_oracle_minor(
     rows: Sequence[int],
     cols: Sequence[int],
     *,
-    budget: int = 10**7,
+    budget: int = PATH_BUDGET,
 ) -> Fraction:
     """Sum of weights over vertex-disjoint path collections, r-th selected
     source to r-th selected sink, by brute-force enumeration.

@@ -7,6 +7,8 @@ from typing import Sequence
 
 from .scalars import Scalar, binomial
 
+__all__ = ["Polynomial"]
+
 
 def _trim(coeffs: tuple) -> tuple:
     n = len(coeffs)

@@ -11,6 +11,15 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+__all__ = [
+    "Rational",
+    "binomial",
+    "pochhammer",
+    "SaalschuetzCheck",
+    "saalschuetz_check",
+    "format_rational",
+]
+
 # Exact rational scalar used throughout: always stored reduced, with a
 # positive denominator, which is exactly what Fraction guarantees.
 Rational = Fraction

@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import ScanBudgetError, SearchExhaustedError
 from .families import coefficient_matrix, family_polys
 from .matrices import (
+    EXHAUSTIVE_LIMIT,
     ExactMatrix,
     GeneralPositionReport,
     _scan_report,
@@ -36,6 +37,7 @@ from .matrices import (
 )
 from .poly import Polynomial
 from .scalars import Rational, format_rational
+from .three_section import _even_half
 
 __all__ = [
     "ExtScalar",
@@ -232,8 +234,11 @@ class ExtPolynomial:
             return ExtPolynomial.zero(self.disc)
         zero = ext_rational(0, self.disc)
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            if a.is_zero:
+                continue
+            for j, b in terms:
                 out[i + j] = out[i + j] + a * b
         return ExtPolynomial(self.disc, tuple(out))
 
@@ -278,13 +283,11 @@ def weierstrass_h(m: int) -> list[ExtPolynomial]:
     two are i*sigma*(z^(t-1) + z^t) and sigma*(z^(t-1) - z^t).  For m = 2
     every sigma factor vanishes, so the construction is rejected.
     """
-    if m % 2 or m < 2:
-        raise ValueError("m must be an even integer >= 2")
-    if m == 2:
+    t = _even_half(m)
+    if t == 1:
         raise ValueError(
             "m = 2 degenerates: the sigma-weighted entries vanish identically"
         )
-    t = m // 2
     disc = t - 1
     one = ext_rational(1, disc)
     iu = ext_i(disc)
@@ -375,18 +378,10 @@ class SearchResult:
 
 def _value_pool(bound: int, exclude: Iterable[Fraction]) -> list[Fraction]:
     """Every p/q with |p| <= bound and 1 <= q <= bound, minus exclude, in
-    ascending order.
-
-    Each value is built once, from its coprime (p, q), and sorts by the
-    exact integer key p * (lcm(1, ..., bound) / q), so the order is that
-    of the values and neither hashing nor sorting touches a Fraction.
-    """
-    scale = math.lcm(*range(1, bound + 1))
-    skip = {(v.numerator, v.denominator) for v in map(Fraction, exclude)}
+    ascending order."""
     span = range(-bound, bound + 1)
-    pairs = [(p, q) for q in range(1, bound + 1) for p in span if math.gcd(p, q) == 1]
-    pairs.sort(key=lambda pq: pq[0] * (scale // pq[1]))
-    return [Fraction(p, q) for p, q in pairs if (p, q) not in skip]
+    values = {Fraction(p, q) for q in range(1, bound + 1) for p in span}
+    return sorted(values - set(map(Fraction, exclude)))
 
 
 def search_constants(
@@ -396,7 +391,7 @@ def search_constants(
     *,
     retry_limit: int = 512,
     candidates: Optional[Sequence[tuple[Rational, Rational]]] = None,
-    exhaustive_limit: int = 10**7,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> SearchResult:
     """Find constant pairs keeping the extended family in general position.
 

@@ -53,6 +53,14 @@ def _check_exact(value, where: str) -> None:
         )
 
 
+def _even_half(m: int) -> int:
+    """t = m / 2 for a family size m, which must be an even integer >= 2;
+    bool, non-int, odd and smaller values are refused alike."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2 or m % 2:
+        raise ValueError("m must be an even integer >= 2")
+    return m // 2
+
+
 @dataclass(frozen=True)
 class SectionWeights:
     """Complete weight table for one three-section network.
@@ -106,9 +114,7 @@ def standard_weights(m: int) -> SectionWeights:
     left weight (i, j) is 1 when i + j <= t and 0 otherwise; every
     middle weight is 1.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 2 or m % 2:
-        raise ValueError("m must be an even integer >= 2")
-    t = m // 2
+    t = _even_half(m)
     zero, one = Fraction(0), Fraction(1)
     left = {}
     right = {}
@@ -154,23 +160,41 @@ def build_three_section(weights: SectionWeights) -> PlanarNetwork:
     return PlanarNetwork(vertices, edges, sources, sinks)
 
 
-def closed_form_entry(i: int, j: int, m: int) -> int:
-    """Weight-matrix entry (i, j) of the standard network in closed form:
-    binomial(t + i - 1, j - 1) for i <= t, binomial(2t - i, j - i) above."""
-    if m < 2 or m % 2:
-        raise ValueError("m must be an even integer >= 2")
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError("indices must lie in 1..m")
-    t = m // 2
+def _entry(i: int, j: int, t: int) -> int:
+    """closed_form_entry's formula for m = 2t, with no checks."""
     if i <= t:
         return binomial(t + i - 1, j - 1)
     return binomial(2 * t - i, j - i)
 
 
+def _binomial_block(m: int) -> list[list[int]]:
+    """The binomial block as integer rows, rows[i - 1][j - 1] =
+    closed_form_entry(i, j, m), with m checked once: the one builder that
+    closed_form_matrix, lemma_path_report and families read."""
+    t = _even_half(m)
+    span = range(1, m + 1)
+    return [[_entry(i, j, t) for j in span] for i in span]
+
+
+def closed_form_entry(i: int, j: int, m: int) -> int:
+    """Weight-matrix entry (i, j) of the standard network in closed form:
+    binomial(t + i - 1, j - 1) for i <= t, binomial(2t - i, j - i) above."""
+    t = _even_half(m)
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise ValueError("indices must lie in 1..m")
+    return _entry(i, j, t)
+
+
 def closed_form_matrix(m: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        [[closed_form_entry(i, j, m) for j in range(1, m + 1)] for i in range(1, m + 1)]
-    )
+    """The m x m binomial block matrix [[B1, B2], [0, B3]], the weight
+    matrix of the standard network and the middle factor of the family's
+    sign factorization (see families).
+
+    B1[i][j] = C(t+i-1, j-1), B2[i][j] = C(t+i-1, t+j-1) and
+    B3[i][j] = C(t-i, j-i), each t x t: entry (i, j) of the whole is
+    closed_form_entry(i, j, m).
+    """
+    return ExactMatrix.from_rows(_binomial_block(m))
 
 
 def w_ab_formula(a: int, b: int, k: int) -> int:
@@ -272,6 +296,7 @@ def lemma_path_report(m: int) -> LemmaPathReport:
     """
     net = build_three_section(standard_weights(m))  # validates m
     t = m // 2
+    block = _binomial_block(m)
 
     def sums(keep, unit=False) -> tuple[tuple[Fraction, ...], ...]:
         """Weight matrix over the nonzero edges whose tail and head levels
@@ -293,7 +318,7 @@ def lemma_path_report(m: int) -> LemmaPathReport:
             all_w = totals[i - 1][j - 1]
             up_w = ascent_only[i - 1][j - 1]
             down_w = descent_only[i - 1][j - 1]
-            total_exp = Fraction(closed_form_entry(i, j, m))
+            total_exp = Fraction(block[i - 1][j - 1])
             if i <= t:
                 up_exp = Fraction(binomial(t, j - i))
                 down_exp: Optional[Fraction] = Fraction(binomial(i - 1, j - 1))

@@ -4,10 +4,11 @@ None of these is reached by a command of the package: each serves only
 to check what the package computes another way (path enumeration over
 the network's own Fraction weights, read off its edges, next to the
 sweep over its integer lift; the weight table read back off a network;
-the standard weights' per-path denominators; the matrix product, which
-the sign factorization is checked against) or to build test inputs (the
-unit grid, identity matrices, constants from extra pairs, a network
-rebuilt from its JSON export).  The tests import them as
+the standard weights' per-path denominators; the matrix product and the
+three factors of the sign factorization, which the integer check is
+compared with) or to build test inputs (the unit grid, identity and
+diagonal matrices, constants from extra pairs, a network rebuilt from
+its JSON export).  The tests import them as
 ``oracles``; pytest puts this directory on ``sys.path``.
 """
 
@@ -24,6 +25,7 @@ from totalpos import (
     PlanarNetwork,
     Rational,
     SectionWeights,
+    closed_form_matrix,
     weight_key_set,
 )
 from totalpos.matrices import _int_lift
@@ -36,6 +38,29 @@ def identity(n: int) -> ExactMatrix:
     return ExactMatrix(
         tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     )
+
+
+def diagonal(values: Iterable) -> ExactMatrix:
+    zero = Fraction(0)
+    vals = [Fraction(v) for v in values]
+    return ExactMatrix(
+        tuple(tuple(v if i == j else zero for j in range(len(vals))) for i, v in enumerate(vals))
+    )
+
+
+def sign_factorization_matrices(m: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """(left diagonal, middle stack, right diagonal) whose product is the
+    coefficient matrix of the family, each from its formula:
+
+    Left: diag((-1)^i for i=1..t, (-1)^(t+i) for i=1..t, 1 for i=1..t).
+    Middle: identity over (B1 B2) over (0 B3), 3t x m, the block being
+    closed_form_matrix(m).
+    Right: diag((-1)^i for i=1..t, (-1)^(t+i) for i=1..t).
+    """
+    t = m // 2
+    right = [(-1) ** i for i in range(1, t + 1)] + [(-1) ** (t + i) for i in range(1, t + 1)]
+    middle = ExactMatrix(identity(m).entries[:t] + closed_form_matrix(m).entries)
+    return diagonal(right + [1] * t), middle, diagonal(right)
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,10 @@ GONE = {
     "totalpos.scalars": ["parse_rational"],
     "totalpos.networks": ["import_json", "iter_paths", "count_paths", "build_grid"],
     "totalpos.three_section": ["extract_weights", "ascent_level_product"],
-    "totalpos.families": ["certified_general_position"],
-    "totalpos.matrices": ["identity", "matmul"],
+    "totalpos.families": [
+        "certified_general_position", "binomial_block_matrix", "sign_factorization_matrices",
+    ],
+    "totalpos.matrices": ["identity", "matmul", "diagonal"],
     "totalpos.surface": ["constants_from_extras"],
     "totalpos.cli": ["_cmd_bench", "_m_list"],
 }
@@ -41,7 +44,8 @@ def tracer_targets() -> list[tuple[str, str]]:
 @pytest.mark.parametrize(
     "module",
     ["totalpos", *(f"totalpos.{name}" for name in (
-        "families", "matrices", "networks", "surface", "three_section"))],
+        "errors", "families", "matrices", "networks", "poly", "scalars", "surface",
+        "three_section"))],
 )
 def test_every_export_resolves(module):
     exported = importlib.import_module(module).__all__
@@ -49,6 +53,39 @@ def test_every_export_resolves(module):
     for name in exported:
         assert getattr(importlib.import_module(module), name) is not None, name
         assert getattr(totalpos, name) is not None, name
+
+
+def test_package_lists_each_submodule_export_once():
+    """The package's __all__ is its version plus each submodule's __all__,
+    so every public name is listed in one place."""
+    modules = [getattr(totalpos, name) for name in (
+        "errors", "scalars", "matrices", "poly", "networks", "three_section",
+        "families", "surface")]
+    assert totalpos.__all__ == ["__version__", *(n for mod in modules for n in mod.__all__)]
+
+
+BUDGET_DEFAULTS = [
+    (totalpos.maximal_minor_scan, "exhaustive_limit", totalpos.matrices.EXHAUSTIVE_LIMIT),
+    (totalpos.general_position, "exhaustive_limit", totalpos.matrices.EXHAUSTIVE_LIMIT),
+    (totalpos.search_constants, "exhaustive_limit", totalpos.matrices.EXHAUSTIVE_LIMIT),
+    (totalpos.is_totally_nonnegative, "size_guard", totalpos.matrices.SIZE_GUARD),
+    (totalpos.is_totally_positive, "size_guard", totalpos.matrices.SIZE_GUARD),
+    (totalpos.lgv_oracle_minor, "budget", totalpos.networks.PATH_BUDGET),
+]
+
+
+@pytest.mark.parametrize(
+    "function, parameter, constant", BUDGET_DEFAULTS,
+    ids=[function.__name__ for function, _, _ in BUDGET_DEFAULTS],
+)
+def test_budget_default_is_the_module_constant(function, parameter, constant):
+    """Each budget's default is stated once, as a module constant."""
+    assert inspect.signature(function).parameters[parameter].default is constant
+
+
+def test_budget_constants_keep_their_values():
+    assert (totalpos.matrices.EXHAUSTIVE_LIMIT, totalpos.matrices.SIZE_GUARD,
+            totalpos.networks.PATH_BUDGET) == (10**7, 10**6, 10**7)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,8 @@ from totalpos import (
     hyperplane_coefficients,
     standard_weights,
 )
-from totalpos.cli import main
+from totalpos.cli import build_parser, main
+from totalpos.networks import PATH_BUDGET
 
 from oracles import network_from_json
 
@@ -79,11 +80,13 @@ class TestVerify:
         }
 
     def test_odd_m_is_a_usage_error(self, capsys):
+        """--m is parsed as an integer first, then refused by the one
+        even-m rule with its message."""
         with pytest.raises(SystemExit) as info:
             main(["verify", "--m", "3"])
         assert info.value.code == 2
         payload = json.loads(capsys.readouterr().out)
-        assert "error" in payload
+        assert payload == {"error": "argument --m: m must be an even integer >= 2"}
 
     def test_sampled_mode_requires_seed(self, capsys):
         code, payload = run_json(capsys, ["verify", "--m", "4", "--mode", "sampled"])
@@ -229,6 +232,10 @@ class TestLgvCheck:
         with pytest.raises(SystemExit) as info:
             main(["lgv-check", "--m", "4", "--trials", "8"])
         assert info.value.code == 2
+
+    def test_budget_default_is_the_path_budget(self):
+        args = build_parser().parse_args(["lgv-check", "--m", "4", "--trials", "1", "--seed", "1"])
+        assert args.budget is PATH_BUDGET
 
     def test_budget_error_names_the_trial(self, capsys):
         """The oracle's budget stops the run at one trial; the error gives

@@ -14,9 +14,9 @@ from totalpos import (
     ScanBudgetError,
     SectionWeights,
     binomial,
-    binomial_block_matrix,
     block_determinants,
     build_three_section,
+    closed_form_matrix,
     coefficient_matrix,
     determinant,
     family_polys,
@@ -24,7 +24,6 @@ from totalpos import (
     minor,
     positive_minor_scan,
     sign_factorization_check,
-    sign_factorization_matrices,
     standard_weights,
     verify_network_equals_block_matrix,
     weight_matrix,
@@ -32,7 +31,7 @@ from totalpos import (
 from totalpos.families import PositiveMinorReport
 from totalpos.matrices import _build_context, _positive_grassmannian, maximal_minor_scan
 
-from oracles import matmul
+from oracles import matmul, sign_factorization_matrices
 from test_networks import positive_collection_oracle
 
 
@@ -40,10 +39,10 @@ def positive_minor_oracle(m, with_witnesses=False):
     """Independent oracle: one determinant per block-matrix minor whose
     columns contain {t+1, ..., m}, by (extra size, extra, rows), with
     elapsed_ms 0, and witnesses from the backtracking search.  It reads
-    the block matrix through the families module, so a patched block
-    reaches it too."""
+    the block's integer rows through the families module, so a patched
+    block reaches it too."""
     t = m // 2
-    block = totalpos.families.binomial_block_matrix(m)
+    block = ExactMatrix.from_rows(totalpos.families._binomial_block(m))
     net = build_three_section(standard_weights(m)) if with_witnesses else None
     tail = tuple(range(t + 1, m + 1))
     violations = []
@@ -151,19 +150,19 @@ class TestBinomialBlock:
         for m in (2, 4, 6, 8):
             t = m // 2
             M = coefficient_matrix(family_polys(m), m)
-            B = binomial_block_matrix(m)
+            B = closed_form_matrix(m)
             for i in range(m):
                 for j in range(m):
                     assert B.entries[i][j] == abs(M.entries[t + i][j])
 
     def test_m6_middle_row(self):
-        B = binomial_block_matrix(6)
+        B = closed_form_matrix(6)
         assert list(B.entries[2]) == [1, 5, 10, 10, 5, 1]
 
     def test_closed_form_entries(self):
         for m in (2, 4, 6, 8, 10):
             t = m // 2
-            B = binomial_block_matrix(m)
+            B = closed_form_matrix(m)
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
                     if i <= t:
@@ -220,7 +219,7 @@ class TestFactorization:
         m, t = 6, 3
         _, mid, _ = sign_factorization_matrices(m)
         assert mid.rows == 3 * t and mid.cols == m
-        block = binomial_block_matrix(m)
+        block = closed_form_matrix(m)
         for i in range(t):
             assert list(mid.entries[i]) == [int(i == j) for j in range(m)]
         for i in range(m):
@@ -243,7 +242,7 @@ class TestNetworkIdentity:
         for m in (2, 4, 6, 8, 10, 12):
             assert verify_network_equals_block_matrix(m)
             net = build_three_section(standard_weights(m))
-            assert weight_matrix(net).to_lists() == binomial_block_matrix(m).to_lists()
+            assert weight_matrix(net).to_lists() == closed_form_matrix(m).to_lists()
 
 
     @pytest.mark.parametrize("key", [(1, 1), (2, 3), (4, 1), (5, 2), (7, 1)])
@@ -475,7 +474,7 @@ class TestPositiveMinorScan:
 
     def test_example_minor_value(self):
         # One three-row minor of the m=4 block whose columns include the tail.
-        B = binomial_block_matrix(4)
+        B = closed_form_matrix(4)
         assert minor(B, MinorQuery((2, 3, 4), (2, 3, 4))) == 3
         assert minor(B, MinorQuery((1, 2, 3, 4), (1, 2, 3, 4))) == 1
 
@@ -494,20 +493,19 @@ class TestPositiveMinorScan:
         assert without_timing(rep) == without_timing(positive_minor_oracle(m, with_witnesses))
 
     def test_planted_violations_match_the_oracle(self, monkeypatch):
-        """The m=6 block with entry (1, 4) raised from 1 to 5/2: 15 of the 84
-        qualifying minors turn <= 0, one of them to 0, and their values
-        (over the non-unit row scale) and order match."""
-        block = binomial_block_matrix(6)
-        rows = [list(row) for row in block.entries]
-        rows[0][3] = Fraction(5, 2)
-        planted = ExactMatrix.from_rows(rows)
-        monkeypatch.setattr(totalpos.families, "binomial_block_matrix", lambda m: planted)
+        """The m=6 block with entry (1, 4) raised from 1 to 4, planted in
+        the builder where families looks it up: 22 of the 84 qualifying
+        minors turn <= 0, one of them to 0, and their values and order
+        match."""
+        planted = totalpos.families._binomial_block(6)
+        planted[0][3] = 4
+        monkeypatch.setattr(totalpos.families, "_binomial_block", lambda m: planted)
         rep = positive_minor_scan(6)
         expected = positive_minor_oracle(6)
         assert rep.violations == expected.violations
         assert without_timing(rep) == without_timing(expected)
         values = [value for _, _, value in rep.violations]
-        assert len(values) == 15 and values.count(0) == 1
+        assert len(values) == 22 and values.count(0) == 1
 
     def test_m12_every_qualifying_minor_is_positive(self):
         rep = positive_minor_scan(12)

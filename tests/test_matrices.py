@@ -25,7 +25,6 @@ from totalpos import (
     ScanVerdict,
     coefficient_matrix,
     determinant,
-    diagonal,
     extended_family,
     family_polys,
     general_position,
@@ -50,7 +49,7 @@ from totalpos.matrices import (
     _scan_report,
 )
 
-from oracles import constants_from_extras, identity, matmul
+from oracles import constants_from_extras, diagonal, identity, matmul
 
 
 def cofactor_determinant(rows):

@@ -112,6 +112,18 @@ class TestExtPolynomial:
         assert q.derivative().coefficient(1) == i + i
         assert (p - p).is_zero
 
+    def test_product_skips_zero_coefficients(self, monkeypatch):
+        """Only nonzero coefficient pairs are multiplied, and the product
+        is that of the rational polynomials: z^3 - 2 times 3z^4 + z takes
+        2 * 2 scalar products."""
+        p, q = Polynomial.make([-2, 0, 0, 1]), Polynomial.make([0, 1, 0, 0, 3])
+        products = []
+        mul = ExtScalar.__mul__
+        monkeypatch.setattr(ExtScalar, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+        ext = ExtPolynomial.from_rational(p, 2) * ExtPolynomial.from_rational(q, 2)
+        assert len(products) == 4
+        assert ext == ExtPolynomial.from_rational(p * q, 2)
+
     def test_eval_at_extension_point(self):
         p = ExtPolynomial.from_rational(Polynomial.make([0, 0, 1]), 2)
         assert p.eval_at(ext_sigma(2)) == ext_rational(2, 2)
@@ -307,14 +319,19 @@ class TestSearchConstants:
         assert info.value.partial.rejected == ((2, pairs[2], "singular-subset"),)
         assert info.value.partial.report is None
 
-    @pytest.mark.parametrize("bound", [10, 37])
-    def test_value_pool_is_in_fraction_order(self, bound):
-        """The integer sort key gives the order of sorted() on the values,
-        which the seeded draws index into."""
-        values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
-        assert _value_pool(bound, ()) == sorted(values)
+    @pytest.mark.parametrize("bound, size", [(10, 125), (37, 1725)])
+    def test_value_pool_is_in_fraction_order(self, bound, size):
+        """Every p/q in lowest terms once, ascending, as the seeded draws
+        index into it: against the coprime pairs ordered by p/q."""
+        pairs = [(p, q) for q in range(1, bound + 1) for p in range(-bound, bound + 1)
+                 if math.gcd(p, q) == 1]
+        pairs.sort(key=lambda pq: pq[0] / pq[1])
+        values = [Fraction(p, q) for p, q in pairs]
+        assert _value_pool(bound, ()) == values
         fixed = (Fraction(0), Fraction(1))
-        assert _value_pool(bound, fixed) == sorted(values - set(fixed))
+        pool = _value_pool(bound, fixed)
+        assert pool == [v for v in values if v not in fixed]
+        assert len(pool) == size
 
     def test_large_bound_draws_the_pinned_pair(self):
         res = search_constants(4, bound=300)

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 import totalpos.three_section
 from totalpos import (
     EnumerationBudgetError,
+    ExactMatrix,
     PlanarNetwork,
     SectionWeights,
     binomial,
     build_three_section,
     closed_form_entry,
     closed_form_matrix,
+    family_polys,
     lemma_path_report,
     pochhammer,
     standard_weights,
     w_ab_formula,
     w_ab_oracle,
+    weierstrass_h,
     weight_key_set,
     weight_matrix,
 )
@@ -268,6 +271,35 @@ class TestClosedForm:
             assert M.entries[i - 1][i - 1] == 1
             for j in range(1, i):
                 assert M.entries[i - 1][j - 1] == 0
+
+    @pytest.mark.parametrize("m", range(2, 42, 2))
+    def test_block_builder_matches_the_entry_and_the_matrix(self, m):
+        """The one integer builder of the block agrees with the entrywise
+        closed form and with the matrix built from it."""
+        rows = totalpos.three_section._binomial_block(m)
+        span = range(1, m + 1)
+        assert rows == [[closed_form_entry(i, j, m) for j in span] for i in span]
+        assert all(type(x) is int for row in rows for x in row)
+        assert ExactMatrix.from_rows(rows) == closed_form_matrix(m)
+
+
+EVEN_M_SITES = {
+    "family_polys": family_polys,
+    "standard_weights": standard_weights,
+    "closed_form_entry": lambda m: closed_form_entry(1, 1, m),
+    "weierstrass_h": weierstrass_h,
+    "block_builder": totalpos.three_section._binomial_block,
+}
+
+
+@pytest.mark.parametrize("site", EVEN_M_SITES)
+@pytest.mark.parametrize("bad", [3, 0, -2, True, 2.0], ids=repr)
+def test_every_site_refuses_a_bad_m_with_one_message(site, bad):
+    """Each function that takes a family size refuses odd, small, bool and
+    non-int values through the one even-m rule, with its one message."""
+    with pytest.raises(ValueError) as info:
+        EVEN_M_SITES[site](bad)
+    assert str(info.value) == "m must be an even integer >= 2"
 
 
 class TestWabWeights:
