@@ -272,8 +272,6 @@ def _cmd_lgv_check(args) -> tuple[str, bool]:
 
 def _cmd_extend(args) -> tuple[str, bool]:
     m = args.m
-    if m < 4:
-        raise ValueError("extend requires m >= 4 (the m = 2 construction degenerates)")
     result = search_constants(
         m,
         bound=args.bound,

@@ -28,10 +28,6 @@ class Polynomial:
         return cls(_trim(tuple(coeffs)))
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
         if power < 0:
             raise ValueError("monomial power must be >= 0")
@@ -69,21 +65,6 @@ class Polynomial:
             raise ValueError(f"degree {self.degree} does not fit width {width}")
         return self.coeffs + (0,) * (width - len(self.coeffs))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial(())
@@ -94,22 +75,3 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(_trim(tuple(out)))
-
-    def scale(self, factor: Scalar) -> "Polynomial":
-        if factor == 0:
-            return Polynomial(())
-        return Polynomial(tuple(c * factor for c in self.coeffs))
-
-    def derivative(self, order: int = 1) -> "Polynomial":
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        p = self
-        for _ in range(order):
-            p = Polynomial(tuple(i * p.coeffs[i] for i in range(1, len(p.coeffs))))
-        return p
-
-    def eval_at(self, point) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc

@@ -4,7 +4,8 @@ Arithmetic happens in Q(i, sigma) with i^2 = -1 and sigma^2 = disc for a
 nonnegative integer disc; scalars are quadruples p + q*i + r*sigma +
 s*i*sigma.  When disc is a perfect square, sigma is substituted by its
 integer value at construction, so the sigma components of every scalar
-collapse to zero and the representation stays a field in all cases.
+collapse to zero and is_zero and equality stay exact at disc = 1, 4, 9, ...
+Only +, - and * are defined: nothing here divides in Q(i, sigma).
 
 The family here extends the three-block family by parameter pairs: each
 extra pair (a, b) of distinct rationals contributes the m polynomials
@@ -12,8 +13,7 @@ extra pair (a, b) of distinct rationals contributes the m polynomials
 whole family in general position, and the null-sum basis expresses every
 family member as an exact linear combination of m fixed quadratic-field
 polynomials whose squares sum to zero.  Each basis polynomial pairs the
-powers l and 2t-1-l, so those coefficients come in closed form; the one
-elimination over Q(i, sigma) is the Wronskian determinant.
+powers l and 2t-1-l, so those coefficients come in closed form.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import ScanBudgetError, SearchExhaustedError
 from .families import coefficient_matrix, family_polys
 from .matrices import (
     EXHAUSTIVE_LIMIT,
-    ExactMatrix,
     GeneralPositionReport,
     _scan_report,
-    determinant,
+    determinant,  # unused; perfbench/tracer.py wraps it here by name
     maximal_minor_scan,
 )
 from .poly import Polynomial
@@ -51,7 +50,6 @@ __all__ = [
     "verify_extended_general_position",
     "SearchResult",
     "search_constants",
-    "wronskian",
     "WeierstrassData",
     "hyperplane_coefficients",
 ]
@@ -95,10 +93,6 @@ class ExtScalar:
     def is_zero(self) -> bool:
         return not (self.re or self.im or self.sre or self.sim)
 
-    @property
-    def is_rational(self) -> bool:
-        return not (self.im or self.sre or self.sim)
-
     def __add__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
         return ExtScalar(
@@ -127,26 +121,6 @@ class ExtScalar:
         sre = a * r - b * s + p * c - q * d
         sim = a * s + b * r + p * d + q * c
         return ExtScalar(re, im, sre, sim, disc)
-
-    def _inverse(self) -> "ExtScalar":
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero extension-field scalar")
-        # 1/(x + y*sigma) = (x - y*sigma) / (x^2 - disc*y^2); the complex
-        # denominator is nonzero because disc >= 0 is a non-square here
-        # (square disc already collapsed y to 0 at construction).
-        a, b = self.re, self.im
-        p, q = self.sre, self.sim
-        disc = self.disc
-        den_re = a * a - b * b - disc * (p * p - q * q)
-        den_im = 2 * (a * b - disc * p * q)
-        norm = den_re * den_re + den_im * den_im
-        inv_re, inv_im = den_re / norm, -den_im / norm
-        conj = ExtScalar(a, b, -p, -q, disc)
-        return conj * ExtScalar(inv_re, inv_im, 0, 0, disc)
-
-    def __truediv__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return self * other._inverse()
 
     def to_quadruple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.re, self.im, self.sre, self.sim)
@@ -192,10 +166,6 @@ class ExtPolynomial:
     @classmethod
     def zero(cls, disc: int) -> "ExtPolynomial":
         return cls(disc, ())
-
-    @classmethod
-    def from_rational(cls, poly: Polynomial, disc: int) -> "ExtPolynomial":
-        return cls(disc, tuple(ext_rational(c, disc) for c in poly.coeffs))
 
     @property
     def degree(self) -> int:
@@ -246,32 +216,6 @@ class ExtPolynomial:
         if factor.disc != self.disc:
             raise ValueError("scale factor from a different extension field")
         return ExtPolynomial(self.disc, tuple(c * factor for c in self.coeffs))
-
-    def derivative(self, order: int = 1) -> "ExtPolynomial":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        p = self
-        for _ in range(order):
-            p = ExtPolynomial(
-                self.disc,
-                tuple(
-                    c * ext_rational(k, self.disc)
-                    for k, c in enumerate(p.coeffs)
-                )[1:],
-            )
-        return p
-
-    def eval_at(self, point: Rational | int | ExtScalar) -> ExtScalar:
-        acc = ext_rational(0, self.disc)
-        if isinstance(point, ExtScalar):
-            if point.disc != self.disc:
-                raise ValueError("evaluation point lives in a different extension")
-            x = point
-        else:
-            x = ext_rational(point, self.disc)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def weierstrass_h(m: int) -> list[ExtPolynomial]:
@@ -409,8 +353,10 @@ def search_constants(
     reproducible from (bound, seed) and only a forced candidate can
     repeat a value.  Reaching the retry limit, or running out of fresh
     values, raises SearchExhaustedError carrying the partial result.
+    m must be an even integer >= 4: the null-sum basis degenerates at
+    m = 2.  extend relies on this check.
     """
-    if m % 2 or m < 4:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 4 or m % 2:
         raise ValueError("m must be an even integer >= 4")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -465,63 +411,6 @@ def search_constants(
             if i < len(fresh) and fresh[i] == v:
                 del fresh[i]
     return result(report)
-
-
-def _ext_determinant(rows: list[list[ExtScalar]], disc: int) -> ExtScalar:
-    """Exact Gaussian elimination over the quadruple field."""
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = ext_rational(1, disc)
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not mat[r][col].is_zero), None
-        )
-        if pivot_row is None:
-            return ext_rational(0, disc)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
-        pivot = mat[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if mat[r][col].is_zero:
-                continue
-            factor = mat[r][col] / pivot
-            mat[r] = [
-                mat[r][k] - factor * mat[col][k] for k in range(n)
-            ]
-    return det
-
-
-PolyLike = Union[Polynomial, ExtPolynomial]
-
-
-def wronskian(polys: Sequence[PolyLike], point: Rational | int):
-    """Determinant of the derivative matrix (row v = v-th derivatives)
-    evaluated at the point: Fraction for rational inputs, ExtScalar when
-    any input carries extension-field coefficients."""
-    if not polys:
-        raise ValueError("wronskian needs at least one polynomial")
-    if all(isinstance(p, Polynomial) for p in polys):
-        n = len(polys)
-        rows = [
-            [p.derivative(v).eval_at(Fraction(point)) for p in polys]
-            for v in range(n)
-        ]
-        return determinant(ExactMatrix.from_rows(rows))
-    discs = {p.disc for p in polys if isinstance(p, ExtPolynomial)}
-    if len(discs) != 1:
-        raise ValueError("polynomials live in different extension fields")
-    disc = discs.pop()
-    lifted = [
-        p if isinstance(p, ExtPolynomial) else ExtPolynomial.from_rational(p, disc)
-        for p in polys
-    ]
-    n = len(lifted)
-    rows = [
-        [p.derivative(v).eval_at(point) for p in lifted] for v in range(n)
-    ]
-    return _ext_determinant(rows, disc)
 
 
 @dataclass(frozen=True)

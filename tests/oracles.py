@@ -7,9 +7,10 @@ sweep over its integer lift; the weight table read back off a network;
 the standard weights' per-path denominators; the matrix product and the
 three factors of the sign factorization, which the integer check is
 compared with) or to build test inputs (the unit grid, identity and
-diagonal matrices, constants from extra pairs, a network rebuilt from
-its JSON export).  The tests import them as
-``oracles``; pytest puts this directory on ``sys.path``.
+diagonal matrices, constants from extra pairs, a rational polynomial
+lifted into Q(i, sigma), a network rebuilt from its JSON export).  The
+tests import them as ``oracles``; pytest puts this directory on
+``sys.path``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from totalpos import (
     ExactMatrix,
+    ExtPolynomial,
     FamilyConstants,
     PlanarNetwork,
+    Polynomial,
     Rational,
     SectionWeights,
     closed_form_matrix,
+    ext_rational,
     weight_key_set,
 )
 from totalpos.matrices import _int_lift
@@ -84,6 +88,11 @@ def constants_from_extras(
 ) -> FamilyConstants:
     """The fixed pair (0, 1) followed by the given extra pairs."""
     return FamilyConstants(((0, 1), *extras))
+
+
+def ext_lift(poly: Polynomial, disc: int) -> ExtPolynomial:
+    """The rational polynomial with each coefficient embedded in Q(i, sigma)."""
+    return ExtPolynomial(disc, tuple(ext_rational(c, disc) for c in poly.coeffs))
 
 
 def adjacency(net: PlanarNetwork) -> dict[Vertex, list[tuple[Vertex, Fraction]]]:

@@ -25,7 +25,7 @@ GONE = {
         "certified_general_position", "binomial_block_matrix", "sign_factorization_matrices",
     ],
     "totalpos.matrices": ["identity", "matmul", "diagonal"],
-    "totalpos.surface": ["constants_from_extras"],
+    "totalpos.surface": ["constants_from_extras", "wronskian"],
     "totalpos.cli": ["_cmd_bench", "_m_list"],
 }
 

@@ -262,9 +262,10 @@ class TestExtend:
         assert cert["weierstrass"]["psi_roots"] == constants
 
     def test_m2_is_rejected(self, capsys):
+        """search_constants states the m >= 4 rule; extend reports its message."""
         code, payload = run_json(capsys, ["extend", "--m", "2"])
         assert code == 2
-        assert "m >= 4" in payload["error"]
+        assert payload == {"error": "m must be an even integer >= 4"}
 
     def test_tiny_retry_limit_is_a_usage_error(self, capsys):
         # bound 1 leaves one fresh value, so the search is exhausted at once.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -27,11 +28,10 @@ from totalpos import (
     search_constants,
     verify_extended_general_position,
     weierstrass_h,
-    wronskian,
 )
 from totalpos.surface import _family_with_pairs, _value_pool
 
-from oracles import constants_from_extras
+from oracles import constants_from_extras, ext_lift
 
 
 quads = st.tuples(*[st.fractions(max_denominator=6)] * 4)
@@ -57,21 +57,14 @@ class TestExtScalar:
     def test_perfect_square_discriminant_collapses(self):
         s = ext_sigma(9)
         assert s.to_quadruple() == (3, 0, 0, 0)
-        assert s.is_rational
+        # Equality and is_zero stay exact: sigma - 3 is zero at disc = 9.
+        assert s == ext_rational(3, 9)
+        assert (s - ext_rational(3, 9)).is_zero
 
     def test_rational_embedding(self):
         x = ext_rational(Fraction(2, 3), 2)
-        assert x.is_rational and not x.is_zero
+        assert not x.is_zero
         assert x.to_quadruple() == (Fraction(2, 3), 0, 0, 0)
-
-    def test_division_round_trip(self):
-        x = scalar((1, 2, Fraction(1, 2), -1))
-        y = scalar((3, -1, 0, 2))
-        assert ((x / y) * y) == x
-
-    def test_zero_division_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            ext_rational(1, 2) / scalar((0, 0, 0, 0))
 
     def test_mixed_discriminants_rejected(self):
         with pytest.raises(ValueError):
@@ -99,17 +92,16 @@ class TestExtScalar:
 
 
 class TestExtPolynomial:
-    def test_from_rational_round_trip(self):
-        p = Polynomial.make([1, Fraction(1, 2), 3])
-        q = ExtPolynomial.from_rational(p, 2)
+    def test_degree_and_coefficients(self):
+        q = ext_lift(Polynomial.make([1, Fraction(1, 2), 3]), 2)
         assert q.degree == 2
         assert q.coefficient(1) == ext_rational(Fraction(1, 2), 2)
 
-    def test_arithmetic_and_derivative(self):
-        p = ExtPolynomial.from_rational(Polynomial.make([0, 0, 1]), 2)
+    def test_scale_and_difference(self):
+        p = ext_lift(Polynomial.make([0, 0, 1]), 2)
         i = ext_i(2)
         q = p.scale(i)
-        assert q.derivative().coefficient(1) == i + i
+        assert q.coefficient(2) == i
         assert (p - p).is_zero
 
     def test_product_skips_zero_coefficients(self, monkeypatch):
@@ -120,13 +112,9 @@ class TestExtPolynomial:
         products = []
         mul = ExtScalar.__mul__
         monkeypatch.setattr(ExtScalar, "__mul__", lambda x, y: products.append(1) or mul(x, y))
-        ext = ExtPolynomial.from_rational(p, 2) * ExtPolynomial.from_rational(q, 2)
+        ext = ext_lift(p, 2) * ext_lift(q, 2)
         assert len(products) == 4
-        assert ext == ExtPolynomial.from_rational(p * q, 2)
-
-    def test_eval_at_extension_point(self):
-        p = ExtPolynomial.from_rational(Polynomial.make([0, 0, 1]), 2)
-        assert p.eval_at(ext_sigma(2)) == ext_rational(2, 2)
+        assert ext == ext_lift(p * q, 2)
 
 
 class TestWeierstrassSystem:
@@ -154,6 +142,27 @@ class TestWeierstrassSystem:
             for p in h:
                 total = total + p * p
             assert total.is_zero
+
+    @pytest.mark.parametrize("m", range(4, 41, 2))
+    def test_h_is_a_basis(self, m):
+        """Members 2l+1 and 2l+2 live on the powers (l, 2t-1-l), the last
+        two on (t-1, t); these pairs partition range(m), and each pair's
+        2x2 coefficient determinant is -2i, or -2i*disc for the last pair,
+        so the coefficient matrix is invertible.  No division is used."""
+        t = m // 2
+        h = weierstrass_h(m)
+        disc = h[0].disc
+        minus_two_i = ext_rational(-2, disc) * ext_i(disc)
+        pairs = [(l, 2 * t - 1 - l) for l in range(t - 1)] + [(t - 1, t)]
+        assert sorted(k for pair in pairs for k in pair) == list(range(m))
+        for l, (lo, hi) in enumerate(pairs):
+            first, second = h[2 * l], h[2 * l + 1]
+            for p in (first, second):
+                assert all(p.coefficient(k).is_zero for k in range(m) if k not in (lo, hi))
+            det = (first.coefficient(lo) * second.coefficient(hi)
+                   - first.coefficient(hi) * second.coefficient(lo))
+            expected = minus_two_i * ext_rational(disc if l == t - 1 else 1, disc)
+            assert det == expected and not det.is_zero
 
     def test_degenerate_m2_rejected(self):
         with pytest.raises(ValueError, match="degenerates"):
@@ -212,6 +221,16 @@ class TestExtendedFamily:
         c = constants_from_extras([(2, 3)])
         rep = verify_extended_general_position(4, c)
         assert not rep.ok
+
+    def test_searched_m4_family_has_every_4_subset_independent(self):
+        """One exact 4x4 determinant per subset, and the scan agrees."""
+        constants = search_constants(4).constants
+        matrix = coefficient_matrix(extended_family(4, constants), 4)
+        subsets = list(itertools.combinations(range(10), 4))
+        assert len(subsets) == 210
+        assert all(determinant(matrix.submatrix(rows, range(4))) != 0 for rows in subsets)
+        rep = verify_extended_general_position(4, constants)
+        assert rep.checked_subsets == 210 and rep.failures == ()
 
 
     def test_takes_only_m_and_constants(self):
@@ -338,36 +357,17 @@ class TestSearchConstants:
         assert res.constants.pairs[1] == (Fraction(-30, 191), Fraction(206, 77))
         assert res.attempts == 1
 
+    @pytest.mark.parametrize("m", [4.0, True, 5, 2, 0], ids=repr)
+    def test_bad_m_is_refused_with_one_message(self, m):
+        with pytest.raises(ValueError) as info:
+            search_constants(m)
+        assert str(info.value) == "m must be an even integer >= 4"
+
     def test_search_beyond_the_exhaustive_budget_is_refused(self):
         with pytest.raises(ScanBudgetError, match="30260340"):
             search_constants(8)
         with pytest.raises(ScanBudgetError):
             search_constants(4, exhaustive_limit=209)
-
-
-class TestWronskian:
-    def test_examples(self):
-        one = Polynomial.make([1])
-        z = Polynomial.monomial(1)
-        assert wronskian([one, z], 0) == 1
-        assert wronskian([z, Polynomial.make([0, 2])], 1) == 0
-        assert wronskian([one], 5) == 1
-
-    def test_extension_lift(self):
-        h = weierstrass_h(6)
-        value = wronskian(h[:2], 0)
-        assert isinstance(value, ExtScalar)
-
-    def test_nonzero_at_some_small_point_for_independent_subsets(self):
-        # Independence of each 4-subset shows up as a nonzero value of the
-        # 4x4 derivative determinant at one of a handful of rational points.
-        from itertools import combinations
-
-        res = search_constants(4)
-        fam = extended_family(4, res.constants)
-        points = [0, Fraction(1, 2), 2, 3, 5]
-        for subset in combinations(fam, 4):
-            assert any(wronskian(subset, p) != 0 for p in points)
 
 
 class TestHyperplaneCoefficients:
@@ -391,7 +391,7 @@ class TestHyperplaneCoefficients:
                 acc = ExtPolynomial.zero(disc)
                 for j in range(m):
                     acc = acc + data.h[j].scale(data.c[i][j])
-                assert (acc - ExtPolynomial.from_rational(f, disc)).is_zero
+                assert (acc - ext_lift(f, disc)).is_zero
 
     @pytest.mark.parametrize("m", range(4, 25, 2))
     def test_closed_form_reconstructs_seeded_families(self, m):
