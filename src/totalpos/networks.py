@@ -1,8 +1,12 @@
 """Weighted planar directed networks keyed by (column, level).
 
 Every edge strictly increases column, so the graph is acyclic by
-construction and the weight matrix is computed by one dynamic-programming
-sweep per source, never by path enumeration.  Enumeration of disjoint
+construction and the weight matrix of a network (weight_matrix) is
+computed by one dynamic-programming sweep per source, never by path
+enumeration.  The standard three-section network's identity and lemma
+tables do not come through here: three_section sweeps its slot word, a
+product of elementary bidiagonal factors, with no vertex graph, and
+weight_matrix is that sweep's oracle in the tests.  Enumeration of disjoint
 path collections (lgv_oracle_minor) is kept separately as the
 small-instance oracle for the determinant = disjoint-collection-sum
 identity, which this module guarantees only for the three-section

@@ -40,11 +40,15 @@ class Polynomial:
         """(z - root)^exponent expanded by the binomial theorem."""
         if exponent < 0:
             raise ValueError("linear_power exponent must be >= 0")
+        # A list, not a generator: tuple() of a generator is built at a
+        # guessed length and resized, so each call moves one tuple onto
+        # another length's free list, and over many calls those lists hold
+        # memory until the next full garbage collection.
         return cls.make(
-            tuple(
+            [
                 binomial(exponent, k) * (-root) ** (exponent - k)
                 for k in range(exponent + 1)
-            )
+            ]
         )
 
     @property

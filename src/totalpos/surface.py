@@ -322,10 +322,21 @@ class SearchResult:
 
 def _value_pool(bound: int, exclude: Iterable[Fraction]) -> list[Fraction]:
     """Every p/q with |p| <= bound and 1 <= q <= bound, minus exclude, in
-    ascending order."""
+    ascending order.
+
+    Each value is built once, from its coprime (p, q), which sorts by the
+    exact integer key p * (lcm(1, ..., bound) / q) and is removed by that
+    pair when excluded, so neither hashing nor sorting touches a Fraction.
+    """
+    scale = math.lcm(*range(1, bound + 1))
+    skip = {(v.numerator, v.denominator) for v in map(Fraction, exclude)}
     span = range(-bound, bound + 1)
-    values = {Fraction(p, q) for q in range(1, bound + 1) for p in span}
-    return sorted(values - set(map(Fraction, exclude)))
+    pairs = [
+        (p, q) for q in range(1, bound + 1) for p in span
+        if math.gcd(p, q) == 1 and (p, q) not in skip
+    ]
+    pairs.sort(key=lambda pq: pq[0] * (scale // pq[1]))
+    return [Fraction(p, q) for p, q in pairs]
 
 
 def search_constants(

@@ -9,18 +9,31 @@ the diagonals and the middle column carry the configurable weights.
 The standard weight assignment makes the weight matrix equal to the
 binomial block matrix of the polynomial family (see families), and the
 per-edge denominators telescope along every monotone right-section path.
+
+Every edge joins adjacent columns and changes level by at most one, so
+the weight matrix is the product of the 2n-1 slots' bidiagonal transfer
+matrices, and each nonzero diagonal edge is one elementary factor
+(Whitney's reduction).  A weight table is therefore first a word of
+letters (_slot_word), each (from level, to level, weight) in slot order.
+One integer sweep over the word (_Sweep) gives the weight matrix with no
+vertex graph: the network identity and the lemma tables are sweeps over
+the standard word and its filtered sub-words.  build_three_section
+places the same letters as edges, so the network and the word cannot
+disagree; it serves export, the disjoint-path oracle and witness
+routing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Mapping, NamedTuple, Optional
+from itertools import chain, combinations
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix
-from .networks import PlanarNetwork, weight_matrix
+from .networks import PlanarNetwork
 from .scalars import binomial, format_rational, pochhammer
 
 __all__ = [
@@ -129,34 +142,125 @@ def standard_weights(m: int) -> SectionWeights:
     return SectionWeights(n=m, left=left, middle=(one,) * m, right=right)
 
 
-def build_three_section(weights: SectionWeights) -> PlanarNetwork:
-    """Realize the weight table as a planar network.
+def _slot_word(weights: SectionWeights) -> list[list[tuple[int, int, Fraction]]]:
+    """The weight table as its slot word: entry c lists the letters of
+    edge slot c, each (from level, to level, weight).
 
-    Columns run 0..2n-1 and levels 1..n, with a full grid of weight-one
-    horizontals (degree-two pass-through vertices do not affect path
-    weights or vertex-disjointness).  Edge slot c joins vertex columns c
-    and c+1: slots 0..n-2 form the left section, slot n-1 carries the
-    middle weights, and slots n..2n-2 form the right section.  The
-    descending edge in left slot n-1-j dropping to level d+j-1 carries
-    left[(d, j)]; the ascending edge in right slot n-1+j rising from
-    level d+j-1 carries right[(d, j)].  Sources sit at column 0, sinks
-    at column 2n-1, both ordered by level.
+    Left slot n-1-j holds the descending letters (d+j -> d+j-1,
+    left[(d, j)]) in ascending order of target level; the middle slot n-1
+    holds one scaling letter (l -> l, middle weight) per level; right slot
+    n-1+j holds the ascending letters (d+j-1 -> d+j, right[(d, j)]) in
+    descending order of target level.  Zero-weight letters are kept (the
+    network lists them as edges).
+
+    Each diagonal letter is an elementary factor I + w E(from, to), and
+    the product of a slot's letters in this order is the slot's
+    bidiagonal transfer matrix: a letter's source column is read before
+    any letter of the slot writes to it, so no cross term appears.  The
+    weight matrix is the product of the slots, left to right (_Sweep).
+    """
+    n = weights.n
+    left, right = weights.left, weights.right
+    word = [
+        [(d + j, d + j - 1, left[(d, j)]) for d in range(1, n - j + 1)]
+        for j in range(n - 1, 0, -1)
+    ]
+    word.append([(lvl, lvl, w) for lvl, w in enumerate(weights.middle, 1)])
+    word += [
+        [(d + j - 1, d + j, right[(d, j)]) for d in range(n - j, 0, -1)]
+        for j in range(1, n)
+    ]
+    return word
+
+
+class _Sweep:
+    """An n x n product of elementary factors, kept on integers: entry
+    (i, l) of the product, 1-based, is cols[l - 1][i - 1] / den[l - 1].
+
+    It starts as the identity, and apply multiplies it on the right by
+    each letter's factor, one column update per letter.  Column l keeps
+    a positive potential den[l - 1], and after each update the column
+    and its potential are divided by their gcd, so the pair stays in
+    lowest terms.  A letter a -> b of weight p/q (q > 0) adds p/q times
+    column a to column b over the common potential L = lcm(den_b,
+    q den_a); a scaling letter l -> l multiplies column l by p and its
+    potential by q.  Zero diagonal letters and unit scalings change
+    nothing and are skipped.  Each column also keeps the row range
+    outside which it is zero, and an update touches only the union of
+    the two ranges.
+    """
+
+    __slots__ = ("cols", "den", "_lo", "_hi")
+
+    def __init__(self, n: int):
+        self.cols = [[int(i == l) for i in range(n)] for l in range(n)]
+        self.den = [1] * n
+        self._lo = list(range(n))
+        self._hi = list(range(1, n + 1))
+
+    def apply(self, letters: Iterable[tuple[int, int, Fraction]]) -> "_Sweep":
+        cols, den, lo, hi = self.cols, self.den, self._lo, self._hi
+        for a, b, w in letters:
+            a -= 1
+            b -= 1
+            col = cols[b]
+            if a == b:
+                if w == 1:
+                    continue
+                i, j = lo[b], hi[b]
+                p = w.numerator
+                col[i:j] = [x * p for x in col[i:j]]
+                d = den[b] * w.denominator
+            elif w:
+                da, d = den[a] * w.denominator, den[b]
+                lcm = math.lcm(d, da)
+                r = w.numerator * (lcm // da)
+                i, j = min(lo[a], lo[b]), max(hi[a], hi[b])
+                src = cols[a][i:j]
+                if lcm == d:
+                    col[i:j] = [x + r * y for x, y in zip(col[i:j], src)]
+                else:
+                    s = lcm // d
+                    col[i:j] = [x * s + r * y for x, y in zip(col[i:j], src)]
+                    d = lcm
+                lo[b], hi[b] = i, j
+            else:
+                continue
+            if d > 1:
+                g = math.gcd(d, *col[i:j])
+                if g > 1:
+                    col[i:j] = [x // g for x in col[i:j]]
+                    d //= g
+            den[b] = d
+        return self
+
+
+def build_three_section(weights: SectionWeights) -> PlanarNetwork:
+    """Realize the weight table as a planar network: the slot word
+    (_slot_word) placed as edges.
+
+    Columns run 0..2n-1 and levels 1..n.  Edge slot c joins vertex columns
+    c and c+1: slots 0..n-2 form the left section, slot n-1 is the middle
+    and slots n..2n-2 the right section.  A letter a -> b of slot c is the
+    edge (c, a) -> (c+1, b) with the letter's weight, so the middle
+    slot's letters are its horizontals; every other slot also gets a
+    weight-one horizontal at each level (degree-two pass-through vertices
+    do not affect path weights or vertex-disjointness).  Zero-weight
+    letters stay as edges.  Sources sit at column 0, sinks at column
+    2n-1, both ordered by level.
     """
     n = weights.n
     last = 2 * n - 1
     one = Fraction(1)
-    vertices = [(c, lvl) for c in range(last + 1) for lvl in range(1, n + 1)]
+    levels = range(1, n + 1)
+    vertices = [(c, lvl) for c in range(last + 1) for lvl in levels]
     edges = []
-    for c in range(last):
-        for lvl in range(1, n + 1):
-            w = weights.middle[lvl - 1] if c == n - 1 else one
-            edges.append(((c, lvl), (c + 1, lvl), w))
-    for d, j in weight_key_set(n):
-        lvl = d + j - 1  # lower endpoint level
-        edges.append(((n - 1 - j, lvl + 1), (n - j, lvl), weights.left[(d, j)]))
-        edges.append(((n - 1 + j, lvl), (n + j, lvl + 1), weights.right[(d, j)]))
-    sources = [(0, lvl) for lvl in range(1, n + 1)]
-    sinks = [(last, lvl) for lvl in range(1, n + 1)]
+    for c, letters in enumerate(_slot_word(weights)):
+        if c != n - 1:
+            edges += [((c, lvl), (c + 1, lvl), one) for lvl in levels]
+        edges += [((c, a), (c + 1, b), w) for a, b, w in letters]
+    sources = [(0, lvl) for lvl in levels]
+    sinks = [(last, lvl) for lvl in levels]
     return PlanarNetwork(vertices, edges, sources, sinks)
 
 
@@ -289,28 +393,29 @@ def lemma_path_report(m: int) -> LemmaPathReport:
     ascending step against binomial(i - 1, j - 1) for i <= t (no
     prediction above t).
 
-    Each table of sums is the weight matrix of the network restricted to
-    the edges a path of that kind may take, and the path count is the
-    weight matrix of its nonzero edges at unit weight.  Zero-weight edges
-    are left out of the count: they change no sum.
+    Each table of sums is one integer sweep (_Sweep) over the standard
+    slot word filtered to the letters a path of that kind may take: all
+    of them, no descending letters, or no ascending letters.  The path
+    count is the sweep of the word with every nonzero weight set to one.
+    Zero-weight letters are left out of the count: they change no sum.
     """
-    net = build_three_section(standard_weights(m))  # validates m
+    word = list(chain.from_iterable(_slot_word(standard_weights(m))))  # validates m
     t = m // 2
     block = _binomial_block(m)
+    one = Fraction(1)
 
-    def sums(keep, unit=False) -> tuple[tuple[Fraction, ...], ...]:
-        """Weight matrix over the nonzero edges whose tail and head levels
-        pass keep, each at unit weight when unit is set."""
-        edges = [
-            (a, b, 1 if unit else w) for a, b, w in net.edges if w and keep(a[1], b[1])
+    def sums(letters) -> list[list[Fraction]]:
+        """The product of the letters' factors, entry [i - 1][j - 1]."""
+        sweep = _Sweep(m).apply(letters)
+        return [
+            [Fraction(col[i], d) for col, d in zip(sweep.cols, sweep.den)]
+            for i in range(m)
         ]
-        kept = PlanarNetwork(net.vertices, edges, net.sources, net.sinks)
-        return weight_matrix(kept).entries
 
-    totals = sums(lambda tail, head: True)
-    ascent_only = sums(lambda tail, head: head >= tail)
-    descent_only = sums(lambda tail, head: head <= tail)
-    counts = sums(lambda tail, head: True, unit=True)
+    totals = sums(word)
+    ascent_only = sums(x for x in word if x[1] >= x[0])
+    descent_only = sums(x for x in word if x[1] <= x[0])
+    counts = _Sweep(m).apply((a, b, one if w else w) for a, b, w in word).cols
     checks = []
     mismatches = []
     for i in range(1, m + 1):
@@ -337,5 +442,5 @@ def lemma_path_report(m: int) -> LemmaPathReport:
         m=m,
         checks=tuple(checks),
         mismatches=tuple(mismatches),
-        enumerated_paths=int(sum(map(sum, counts))),
+        enumerated_paths=sum(map(sum, counts)),
     )

@@ -6,7 +6,9 @@ the network's own Fraction weights, read off its edges, next to the
 sweep over its integer lift; the weight table read back off a network;
 the standard weights' per-path denominators; the matrix product and the
 three factors of the sign factorization, which the integer check is
-compared with) or to build test inputs (the unit grid, identity and
+compared with; the three-section network placed edge by edge from the
+weight table, which the slot-word placement is compared with) or to
+build test inputs (the unit grid, identity and
 diagonal matrices, constants from extra pairs, a rational polynomial
 lifted into Q(i, sigma), a network rebuilt from its JSON export).  The
 tests import them as ``oracles``; pytest puts this directory on
@@ -172,6 +174,30 @@ def build_grid(grid_size: int, boundary_size: int) -> PlanarNetwork:
                 edges.append((v, (x + y + 1, y + 1 - x), 1))
     sources = [(1 + i, i - 1) for i in range(1, boundary_size + 1)]
     sinks = [(2 * grid_size + 3 - i, i - 1) for i in range(1, boundary_size + 1)]
+    return PlanarNetwork(vertices, edges, sources, sinks)
+
+
+def three_section_oracle(weights: SectionWeights) -> PlanarNetwork:
+    """The three-section network placed straight from the weight table:
+    a weight-one horizontal at every level of every slot except the
+    middle one (slot n-1), which carries the middle weights; the
+    descending edge of left slot n-1-j dropping to level d+j-1 carries
+    left[(d, j)], and the ascending edge of right slot n-1+j rising from
+    level d+j-1 carries right[(d, j)]."""
+    n = weights.n
+    last = 2 * n - 1
+    vertices = [(c, lvl) for c in range(last + 1) for lvl in range(1, n + 1)]
+    edges = []
+    for c in range(last):
+        for lvl in range(1, n + 1):
+            w = weights.middle[lvl - 1] if c == n - 1 else Fraction(1)
+            edges.append(((c, lvl), (c + 1, lvl), w))
+    for d, j in weight_key_set(n):
+        lvl = d + j - 1
+        edges.append(((n - 1 - j, lvl + 1), (n - j, lvl), weights.left[(d, j)]))
+        edges.append(((n - 1 + j, lvl), (n + j, lvl + 1), weights.right[(d, j)]))
+    sources = [(0, lvl) for lvl in range(1, n + 1)]
+    sinks = [(last, lvl) for lvl in range(1, n + 1)]
     return PlanarNetwork(vertices, edges, sources, sinks)
 
 

@@ -3,11 +3,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import totalpos.cli
 import totalpos.families
 from totalpos import (
     SectionWeights,
@@ -353,3 +357,52 @@ class TestDeterminism:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert strip_timings(first) == strip_timings(second)
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and reuses it; no call
+    leaves state behind for the next."""
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        main(["verify", "--m", "2"])
+        parser = totalpos.cli._parser
+        assert parser is not None
+        main(["network", "--m", "2"])
+        assert totalpos.cli._parser is parser
+        capsys.readouterr()
+
+    def test_parser_is_not_built_at_import(self):
+        """Importing the CLI builds nothing, so the import costs no more."""
+        code = "import totalpos.cli; print(totalpos.cli._parser)"
+        src = os.path.dirname(os.path.dirname(totalpos.cli.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["None"]
+
+    def test_calls_in_one_process_do_not_leak_options(self, capsys, tmp_path):
+        """verify --m 8 prints the same certificate before and after a run
+        with -o, that run writes it to the file only, and a following bad
+        --m is still the JSON usage error; network's --format falls back
+        to its default after a dot export."""
+        _, before = run(capsys, ["verify", "--m", "8"])
+        target = tmp_path / "verify.json"
+        code, out = run(capsys, ["verify", "--m", "8", "-o", str(target)])
+        assert code == 0 and out == ""
+        assert strip_timings(target.read_text()) == strip_timings(before)
+        _, after = run(capsys, ["verify", "--m", "8"])
+        assert strip_timings(after) == strip_timings(before)
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--m", "3"])
+        assert info.value.code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "argument --m: m must be an even integer >= 2"
+        }
+        _, dot = run(capsys, ["network", "--m", "4", "--format", "dot"])
+        assert dot.startswith("digraph {")
+        _, default = run(capsys, ["network", "--m", "4"])
+        assert network_from_json(default) == build_three_section(standard_weights(4))

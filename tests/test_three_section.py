@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
+import math
+import time
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import totalpos.families
 import totalpos.three_section
 from totalpos import (
     EnumerationBudgetError,
@@ -25,11 +30,26 @@ from totalpos import (
     w_ab_oracle,
     weierstrass_h,
     weight_key_set,
+    verify_network_equals_block_matrix,
     weight_matrix,
 )
-from totalpos.three_section import LemmaPathReport, PairCheck
+from totalpos.cli import main
+from totalpos.three_section import (
+    LemmaPathReport,
+    PairCheck,
+    _binomial_block,
+    _slot_word,
+    _Sweep,
+)
 
-from oracles import ascent_level_product, build_grid, count_paths, extract_weights, iter_paths
+from oracles import (
+    ascent_level_product,
+    build_grid,
+    count_paths,
+    extract_weights,
+    iter_paths,
+    three_section_oracle,
+)
 
 
 def lemma_path_oracle(m: int, *, budget: int = 10**6) -> LemmaPathReport:
@@ -281,6 +301,160 @@ class TestClosedForm:
         assert rows == [[closed_form_entry(i, j, m) for j in span] for i in span]
         assert all(type(x) is int for row in rows for x in row)
         assert ExactMatrix.from_rows(rows) == closed_form_matrix(m)
+
+
+def sweep_of(weights: SectionWeights) -> _Sweep:
+    """The one integer sweep over the weight table's slot word."""
+    return _Sweep(weights.n).apply(chain.from_iterable(_slot_word(weights)))
+
+
+def sweep_matrix(weights: SectionWeights) -> ExactMatrix:
+    """The sweep's product as a matrix: column l over its potential."""
+    sweep = sweep_of(weights)
+    return ExactMatrix(tuple(
+        tuple(Fraction(col[i], d) for col, d in zip(sweep.cols, sweep.den))
+        for i in range(weights.n)
+    ))
+
+
+# Zero, one and minus one are drawn often; the rest are negative or
+# fractional values alike.
+weight_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def section_weights(draw, max_n: int = 6) -> SectionWeights:
+    n = draw(st.integers(1, max_n))
+    keys = sorted(weight_key_set(n))
+    return SectionWeights(
+        n=n,
+        left={k: draw(weight_values) for k in keys},
+        middle=tuple(draw(weight_values) for _ in range(n)),
+        right={k: draw(weight_values) for k in keys},
+    )
+
+
+# Every kind of weight at once: zero, negative and fractional diagonals,
+# and zero and non-unit middle weights.
+MIXED = SectionWeights(
+    n=3,
+    left={(1, 1): Fraction(-2), (1, 2): Fraction(0), (2, 1): Fraction(3, 2)},
+    middle=(Fraction(0), Fraction(5, 3), Fraction(-1, 4)),
+    right={(1, 1): Fraction(-1, 2), (1, 2): Fraction(7), (2, 1): Fraction(0)},
+)
+
+
+class TestSlotWord:
+    """The slot word, its placement as the network, and the integer sweep
+    over it, against the vertex sweep (weight_matrix) as oracle."""
+
+    @pytest.mark.parametrize("m", range(2, 66, 2))
+    def test_sweep_equals_the_vertex_sweep_on_the_standard_word(self, m):
+        w = standard_weights(m)
+        assert sweep_matrix(w) == weight_matrix(build_three_section(w))
+
+    @settings(max_examples=80, deadline=None)
+    @given(section_weights())
+    @example(MIXED)
+    def test_sweep_equals_the_vertex_sweep_on_drawn_weights(self, w):
+        """Each column and its potential stay in lowest terms."""
+        sweep = sweep_of(w)
+        assert all(d > 0 and math.gcd(d, *col) == 1 for col, d in zip(sweep.cols, sweep.den))
+        assert sweep_matrix(w) == weight_matrix(build_three_section(w))
+
+    @settings(max_examples=40, deadline=None)
+    @given(section_weights())
+    @example(MIXED)
+    def test_network_is_the_word_placed(self, w):
+        """The diagonal edges are exactly the word's diagonal letters, the
+        middle slot's letters are its horizontals, and the network equals
+        the one placed straight from the table."""
+        net = build_three_section(w)
+        word = _slot_word(w)
+        letters = [((c, a), (c + 1, b), x) for c, slot in enumerate(word) for a, b, x in slot]
+        assert sorted(x for x in letters if x[0][1] != x[1][1]) == [
+            e for e in net.edges if e[0][1] != e[1][1]
+        ]
+        assert [x for x in letters if x[0][1] == x[1][1]] == [
+            e for e in net.edges if e[0][0] == w.n - 1 and e[0][1] == e[1][1]
+        ]
+        assert net == three_section_oracle(w)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 16, 30])
+    def test_standard_network_is_unchanged(self, m):
+        assert build_three_section(standard_weights(m)) == three_section_oracle(standard_weights(m))
+
+    @pytest.mark.parametrize("m", [2, 8, 16])
+    def test_letter_order_within_each_slot(self, m):
+        """2m-1 slots: descending letters by ascending target level, one
+        scaling letter per level in the middle, ascending letters by
+        descending target level, so no letter reads a column its slot
+        has already written."""
+        word = _slot_word(standard_weights(m))
+        assert len(word) == 2 * m - 1
+        assert [(a, b) for a, b, _ in word[m - 1]] == [(l, l) for l in range(1, m + 1)]
+        for c, slot in enumerate(word):
+            written = set()
+            for a, b, _ in slot:
+                assert a not in written or a == b
+                written.add(b)
+            targets = [b for _, b, _ in slot]
+            if c < m - 1:
+                assert all(a == b + 1 for a, b, _ in slot) and targets == sorted(targets)
+            elif c > m - 1:
+                assert all(b == a + 1 for a, b, _ in slot)
+                assert targets == sorted(targets, reverse=True)
+
+    @pytest.mark.parametrize("m", [16, 40, 100, 200])
+    def test_potentials_stay_within_m_bits(self, m):
+        """After every letter of the standard word no column potential
+        has more than m bits (peaks of 13, 37, 96 and 195 bits at m = 16,
+        40, 100 and 200), and every potential ends at 1."""
+        sweep = _Sweep(m)
+        peak = 0
+        for letter in chain.from_iterable(_slot_word(standard_weights(m))):
+            sweep.apply((letter,))
+            peak = max(peak, sweep.den[letter[1] - 1].bit_length())
+        assert peak <= m
+        assert sweep.den == [1] * m
+
+    def test_m200_identity_is_quick(self):
+        """The standard sweep equals the m=200 block in under a second of
+        this process's CPU time (about 0.5 s on a 2-vCPU machine)."""
+        start = time.process_time()
+        sweep = sweep_of(standard_weights(200))
+        elapsed = time.process_time() - start
+        assert sweep.den == [1] * 200
+        assert sweep.cols == [list(col) for col in zip(*_binomial_block(200))]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("slot, index", [(0, 0), (2, 1), (7, 3), (8, 0), (12, 2)])
+    def test_one_perturbed_letter_fails_the_identity(self, capsys, monkeypatch, slot, index):
+        """Adding one to one letter of the m=8 word (a zero and a unit left
+        letter, a middle scaling, two right letters) fails exactly
+        network_matrix_identity, and verify exits 1."""
+        real = _slot_word
+
+        def perturbed(weights):
+            word = real(weights)
+            a, b, w = word[slot][index]
+            word[slot][index] = (a, b, w + 1)
+            return word
+
+        monkeypatch.setattr(totalpos.families, "_slot_word", perturbed)
+        assert not verify_network_equals_block_matrix(8)
+        code = main(["verify", "--m", "8"])
+        cert = json.loads(capsys.readouterr().out)
+        assert code == 1 and cert["pass"] is False
+        assert {c["name"]: c["pass"] for c in cert["checks"]} == {
+            "sign_factorization": True,
+            "block_determinants": True,
+            "network_matrix_identity": False,
+            "general_position": True,
+        }
 
 
 EVEN_M_SITES = {
