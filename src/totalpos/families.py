@@ -32,10 +32,9 @@ from .matrices import (
     determinant,
     maximal_minor_scan,
 )
-from .networks import (
-    find_positive_collection,
-    weight_matrix,  # unused; perfbench/tracer.py wraps it here by name
-)
+from .networks import _route_in_order
+# Unused here; perfbench/tracer.py wraps both here by name.
+from .networks import find_positive_collection, weight_matrix
 from .poly import Polynomial
 from .scalars import format_rational
 from .three_section import (
@@ -218,8 +217,8 @@ def positive_minor_scan(
     with_witnesses: bool = False,
 ) -> PositiveMinorReport:
     """Check positivity of every block-matrix minor whose column set
-    contains {t+1, ..., m}; optionally attach a positive path-collection
-    witness from the standard network for each one.
+    contains {t+1, ..., m}; optionally check that each positive one has a
+    positive path-collection witness in the standard network.
 
     One Laplace walk yields the minors, tail first: it walks the
     transposed block with the columns in descending order, so a node is
@@ -229,48 +228,53 @@ def positive_minor_scan(
     row set; each minor is taken times the reversal sign
     (-1)^(s(s-1)/2) that restores ascending column order.  The kept
     minors are reported by (number of extra columns, extra columns,
-    rows), each set in lex order.
+    rows), each set in lex order.  Scales are positive, so a minor's sign
+    is its integer's, and only a violation is divided.  Witnesses are
+    routed in that order by _route_in_order, which the standard network
+    (build_three_section) makes exact.
     """
     t0 = time.perf_counter()
     block = _binomial_block(m)
     t = m // 2
     tail = tuple(range(t, m))
     head = tuple(range(t))  # the tail's walk positions
-    kept = []  # (extra columns, rows, value), 0-based
+    kept = []  # (columns, rows, signed integer minor, scale), 0-based
 
     def visit(node, subsets, minors, scale) -> bool:
         s = len(node)
         if node[:t] != head[:s]:
             return False
         if s >= t:
-            extra = tuple(sorted(m - 1 - i for i in node[t:]))
+            cols = tuple(sorted(m - 1 - i for i in node[t:])) + tail
             sign = -1 if s * (s - 1) // 2 % 2 else 1
             kept.extend(
-                (extra, rows, Fraction(sign * minor, scale))
-                for rows, minor in zip(subsets, minors)
+                (cols, rows, sign * minor, scale) for rows, minor in zip(subsets, minors)
             )
         return True
 
     _laplace_walk(list(zip(*block))[::-1], 1, visit)
     kept.sort(key=lambda item: (len(item[0]), item[0], item[1]))
-    net = build_three_section(standard_weights(m)) if with_witnesses else None
-    violations = []
-    missing = []
-    for extra, rows0, value in kept:
-        rows = tuple(i + 1 for i in rows0)
-        cols = tuple(j + 1 for j in extra + tail)
-        if value <= 0:
-            violations.append((rows, cols, value))
-        elif with_witnesses:
-            found = find_positive_collection(net, rows, cols)
-            if found is None:
-                missing.append((rows, cols))
+
+    def one_based(rows, cols):
+        return tuple(i + 1 for i in rows), tuple(j + 1 for j in cols)
+
+    violations = tuple(
+        (*one_based(rows, cols), Fraction(value, scale))
+        for cols, rows, value, scale in kept
+        if value <= 0
+    )
+    missing = ()
+    if with_witnesses:
+        queries = [(rows, cols) for cols, rows, value, _ in kept if value > 0]
+        net = build_three_section(standard_weights(m))
+        found = _route_in_order(net, queries)
+        missing = tuple(one_based(*q) for q, ok in zip(queries, found) if not ok)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return PositiveMinorReport(
         m=m,
         total_minors=len(kept),
-        violations=tuple(violations),
+        violations=violations,
         witnesses_attached=with_witnesses,
-        missing_witnesses=tuple(missing),
+        missing_witnesses=missing,
         elapsed_ms=elapsed_ms,
     )

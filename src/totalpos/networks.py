@@ -20,15 +20,12 @@ w * phi(v) / phi(u), so a path weighs its true weight times
 phi(end) / phi(start) and a sum of path weights is divided once.
 
 Positive path collections are routed greedily, pair by pair in boundary
-order, each along the lowest positive path that avoids the earlier ones,
-over the lift's positive edges, kept once per sink and pruned to the
-heads that can still reach it.  A pair's route depends only on the pairs
-before it, so each query resumes after the pairs it shares with the
-previous query on the same network.  In the three-section network every
-edge joins adjacent columns, no two edges of one slot cross and both
-boundaries are ordered by level, so disjoint paths cannot cross and
-greedy routing finds a collection whenever one exists; on any network,
-a collection it returns is genuine.
+order, each along the lowest positive path that avoids the earlier ones
+(_lowest_path).  In the three-section network, where disjoint paths
+cannot cross, greedy routing finds a collection whenever one exists, and
+a pair's route depends only on the previous pair's path, so a batch of
+queries routes each distinct (previous path, pair) once (_route_in_order).
+On any network, a collection it returns is genuine.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationBudgetError
 from .matrices import ExactMatrix, MinorQuery
@@ -59,6 +56,10 @@ Vertex = tuple[int, int]  # (column, level)
 # largest product of per-pair path counts it enumerates.
 PATH_BUDGET = 10**7
 
+# The most search steps one positive-collection query may take: the
+# default of find_positive_collection, and _route_in_order's budget.
+ROUTE_BUDGET = 10**6
+
 
 def _as_vertex(v) -> Vertex:
     c, l = v
@@ -72,7 +73,7 @@ def _as_vertex(v) -> Vertex:
 class PlanarNetwork:
     """Immutable weighted DAG with ordered source and sink boundaries."""
 
-    __slots__ = ("vertices", "edges", "sources", "sinks", "_lift", "_routes", "_trail")
+    __slots__ = ("vertices", "edges", "sources", "sinks", "_lift", "_routes")
 
     def __init__(self, vertices, edges, sources, sinks):
         """Validate and normalize: coordinates must be integers (bool
@@ -129,7 +130,6 @@ class PlanarNetwork:
         object.__setattr__(self, "sinks", snk)
         object.__setattr__(self, "_lift", None)
         object.__setattr__(self, "_routes", {})
-        object.__setattr__(self, "_trail", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarNetwork is immutable")
@@ -141,14 +141,10 @@ class PlanarNetwork:
     def _routes_to(self, sink: Vertex) -> tuple[dict, list]:
         """(vertex index, routing table toward sink), built on first use.
 
-        The index is the integer lift's.  Entry k of the table lists the
-        lift's positive edges out of vertex k as (head, lifted weight)
-        pairs in edge order, keeping only heads from which a positive path
-        reaches the sink; it is None when no positive path leads from
-        vertex k to the sink.  Potentials are positive, so a lifted weight
-        is positive exactly when the true weight is.  Each table is built
-        once per sink and kept.  Next to them, self._trail holds one _Routed
-        state per pair routed by the last positive-collection query.
+        The index is the integer lift's.  Entry k of the table lists, in
+        edge order, the heads of the positive edges out of vertex k from
+        which a positive path reaches the sink, or is None when vertex k
+        has no such path.  Each table is built once per sink and kept.
         """
         index, adj, _ = _integer_lift(self)
         table = self._routes.get(sink)
@@ -157,9 +153,9 @@ class PlanarNetwork:
             table[index[sink]] = ()
             # Vertices are sorted by column, so heads come after their tails.
             for k in range(index[sink] - 1, -1, -1):
-                edges = tuple((h, w) for h, w in adj[k] if w > 0 and table[h] is not None)
-                if edges:
-                    table[k] = edges
+                heads = tuple(h for h, w in adj[k] if w > 0 and table[h] is not None)
+                if heads:
+                    table[k] = heads
             self._routes[sink] = table
         return index, table
 
@@ -344,19 +340,42 @@ class PathCollection:
         }
 
 
-class _Routed(NamedTuple):
-    """Greedy routing state right after one pair of a query: the pair, the
-    search steps so far, the pair's path as vertex indices and as vertices,
-    and the collection weight so far as numerator (the lifted edge weights
-    times the sources' potentials) and denominator (the sinks' potentials).
-    The vertices used so far are the indices of the states up to this one."""
+def _budget_error(budget: int) -> EnumerationBudgetError:
+    return EnumerationBudgetError(f"positive-collection search exceeded budget {budget}")
 
-    pair: tuple[Vertex, Vertex]
-    steps: int
-    indices: tuple[int, ...]
-    path: tuple[Vertex, ...]
-    num: int
-    den: int
+
+def _lowest_path(net: PlanarNetwork, source: Vertex, sink: Vertex, used) -> tuple:
+    """(path, steps): the lowest positive path from source to sink that
+    avoids the lift indices in used, as lift indices (None when there is
+    none), and the search steps spent, each a vertex pushed onto or popped
+    off the path.
+
+    Depth first over the routing table toward sink (_routes_to), heads in
+    (column, level) order; a vertex whose subtree fails stays dead for
+    the search, since every edge increases the column.  A used source or
+    sink, or no positive route from source, costs no step.
+    """
+    index, routes = net._routes_to(sink)
+    src, dst = index[source], index[sink]
+    blocked = set(used)
+    if src in blocked or dst in blocked or routes[src] is None:
+        return None, 0
+    path = [src]
+    stack = [iter(routes[src])]
+    dead = 0
+    while path[-1] != dst:
+        for head in stack[-1]:
+            if head not in blocked:
+                path.append(head)
+                stack.append(iter(routes[head]))
+                break
+        else:
+            stack.pop()
+            dead += 1
+            if not stack:  # src itself failed
+                return None, 2 * dead - 1
+            blocked.add(path.pop())
+    return tuple(path), len(path) - 1 + 2 * dead
 
 
 def find_positive_collection(
@@ -364,98 +383,75 @@ def find_positive_collection(
     rows: Sequence[int],
     cols: Sequence[int],
     *,
-    budget: int = 10**6,
+    budget: int = ROUTE_BUDGET,
 ) -> Optional[PathCollection]:
     """Vertex-disjoint collection along positive-weight edges, routed
     greedily in boundary order, or None when routing fails.
 
-    Each pair gets the lowest path from its source to its sink that
-    avoids the earlier pairs' paths: a depth-first search trying heads
-    in (column, level) order among those with a positive path to the
-    sink, which marks a vertex dead for the pair once its subtree fails
-    (every edge increases the column, so the failure does not depend on
-    the path into it).  No pair is re-routed.  The weight is one product
+    Each pair gets the lowest path that avoids the earlier pairs' paths
+    (_lowest_path), and no pair is re-routed.  The weight is one product
     of lifted edge weights and source potentials over one of sink
-    potentials.
-
-    A pair's route depends only on the pairs before it, so the search
-    resumes after the longest run of leading pairs this query shares
-    with the previous query on the same network, from the state kept
-    after that run (steps included, so the budget binds as on a fresh
-    network).
-
-    When every edge joins adjacent columns, no two edges of one slot
-    cross and both boundaries are ordered by level (build_three_section),
-    disjoint paths cannot cross and the pointwise-lowest
-    choice leaves the most room above it, so routing fails only when no
-    collection exists.  On other networks a returned collection is still
-    genuine; only a missing one is inconclusive.  The budget caps search
-    steps (a vertex pushed onto or popped off the path); it is checked
-    after each pair, and a query that needs more steps raises.
+    potentials.  When every edge joins adjacent columns, no two edges of
+    one slot cross and both boundaries are ordered by level
+    (build_three_section), disjoint paths cannot cross and the
+    pointwise-lowest choice leaves the most room above it, so routing
+    fails only when no collection exists.  On other networks a returned
+    collection is still genuine; only a missing one is inconclusive.  The
+    budget caps search steps; it is checked after each pair, and a query
+    that needs more steps raises.
     """
     pairs = _boundary_pairs(net, rows, cols)
-    trail = net._trail
-    shared = 0
-    for state, pair in zip(trail, pairs):
-        if state.pair != pair:
-            break
-        shared += 1
-    # Kept as a new list, so that a query on another thread never sees this
-    # one cut the trail it is reading; appending keeps every prefix valid.
-    trail = trail[:shared]
-    object.__setattr__(net, "_trail", trail)
+    _, adj, phi = _integer_lift(net)
     steps, num, den = 0, 1, 1
     used: set[int] = set()
-    for state in trail:
-        steps, num, den = state.steps, state.num, state.den
-        used.update(state.indices)
-    vertices, phi = net.vertices, _integer_lift(net)[2]
-    for pair in pairs[shared:]:
+    paths = []
+    for source, sink in pairs:
+        path, spent = _lowest_path(net, source, sink, used)
+        steps += spent
         if steps > budget:
-            break
-        index, routes = net._routes_to(pair[1])
-        src, dst = index[pair[0]], index[pair[1]]
-        if src in used or dst in used or routes[src] is None:
+            raise _budget_error(budget)
+        if path is None:
             return None
-        # Vertices whose subtree failed join used until the pair is routed.
-        dead = []
-        path = [src]
-        hops = []
-        stack = [iter(routes[src])]
-        while path[-1] != dst:
-            for hop in stack[-1]:
-                if hop[0] not in used:
-                    path.append(hop[0])
-                    hops.append(hop)
-                    stack.append(iter(routes[hop[0]]))
-                    break
-            else:
-                stack.pop()
-                dead.append(path.pop())
-                if not stack:
-                    break
-                used.add(dead[-1])
-                hops.pop()
-        # Each search step pushed or popped one vertex.
-        steps += len(path) - 1 + 2 * len(dead)
-        if not path:
-            if steps > budget:
-                break
-            return None
-        used.difference_update(dead)
         used.update(path)
-        num *= phi[src]
-        den *= phi[dst]
-        for _, w in hops:
-            num *= w
-        trail.append(
-            _Routed(pair, steps, tuple(path), tuple([vertices[k] for k in path]), num, den)
-        )
-    if steps > budget:
-        raise EnumerationBudgetError(
-            f"positive-collection search exceeded budget {budget}"
-        )
-    return PathCollection(tuple(state.path for state in trail), Fraction(num, den))
+        num *= phi[path[0]]
+        den *= phi[path[-1]]
+        for tail, head in zip(path, path[1:]):
+            num *= dict(adj[tail])[head]
+        paths.append(tuple(net.vertices[k] for k in path))
+    return PathCollection(tuple(paths), Fraction(num, den))
+
+
+def _route_in_order(net: PlanarNetwork, queries: Iterable) -> Iterator[bool]:
+    """Whether find_positive_collection finds a collection, for each
+    0-based ascending (rows, cols) query in order: the same routes, steps
+    and budget (ROUTE_BUDGET), with no collection built.
+
+    Exact where a pair's route depends on no earlier path but the
+    previous pair's, as on build_three_section's networks: every edge
+    joins adjacent columns, no two edges of one slot cross and both
+    boundaries are ordered by level, so pair k's path lies above path
+    k-1, which lies above the earlier ones, and pair k's search never
+    reaches them.  A route is kept by (previous path's id, source, sink),
+    equal paths share one id, and each is searched once per call.
+    """
+    ids: dict[tuple[int, ...], int] = {}  # path -> id, in order found
+    memo = {}  # (previous path's id, source, sink) -> (path or None, its id, steps)
+    for rows, cols in queries:
+        path, pid, steps = (), -1, 0
+        for i, j in zip(rows, cols):
+            key = pid, i, j
+            routed = memo.get(key)
+            if routed is None:
+                found, spent = _lowest_path(net, net.sources[i], net.sinks[j], path)
+                pid = None if found is None else ids.setdefault(found, len(ids))
+                routed = memo[key] = found, pid, spent
+            path, pid, spent = routed
+            steps += spent
+            if path is None:
+                break
+        if steps > ROUTE_BUDGET:
+            raise _budget_error(ROUTE_BUDGET)
+        yield path is not None
 
 
 def _vertex_name(v: Vertex) -> str:

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import totalpos.families
+import totalpos.networks
 from totalpos import (
     ExactMatrix,
     MinorQuery,
@@ -32,7 +33,7 @@ from totalpos.families import PositiveMinorReport
 from totalpos.matrices import _build_context, _positive_grassmannian, maximal_minor_scan
 
 from oracles import matmul, sign_factorization_matrices
-from test_networks import positive_collection_oracle
+from test_networks import assert_in_order_routing_matches, positive_collection_oracle
 
 
 def positive_minor_oracle(m, with_witnesses=False):
@@ -506,6 +507,43 @@ class TestPositiveMinorScan:
         assert without_timing(rep) == without_timing(expected)
         values = [value for _, _, value in rep.violations]
         assert len(values) == 22 and values.count(0) == 1
+
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_witness_routing_matches_find_positive_collection(self, m, monkeypatch):
+        """The queries the scan hands to _route_in_order, in its order,
+        get the answers and step totals find_positive_collection gives
+        each one alone."""
+        seen = []
+        route_in_order = totalpos.families._route_in_order
+
+        def spy(net, queries):
+            seen.append((net, list(queries)))
+            return route_in_order(net, seen[-1][1])
+
+        monkeypatch.setattr(totalpos.families, "_route_in_order", spy)
+        rep = positive_minor_scan(m, with_witnesses=True)
+        [(net, queries)] = seen
+        assert len(queries) == rep.total_minors
+        assert net == build_three_section(standard_weights(m))
+        assert assert_in_order_routing_matches(net, queries, monkeypatch) == 0
+
+    def test_m10_routes_each_distinct_pair_once(self, monkeypatch):
+        """3,003 queries of 20,020 pairs in all (k extra columns: C(5, k)
+        column sets, C(10, 5 + k) row sets, 5 + k pairs each) need 2,033
+        searches: one per distinct (previous path, pair).  They find 717
+        distinct paths."""
+        paths = []
+        lowest_path = totalpos.networks._lowest_path
+
+        def spy(*args):
+            found = lowest_path(*args)
+            paths.append(found[0])
+            return found
+
+        monkeypatch.setattr(totalpos.networks, "_lowest_path", spy)
+        assert positive_minor_scan(10, with_witnesses=True).ok
+        pairs = sum(math.comb(5, k) * math.comb(10, 5 + k) * (5 + k) for k in range(6))
+        assert (pairs, len(paths), len(set(paths))) == (20020, 2033, 717)
 
     def test_m12_every_qualifying_minor_is_positive(self):
         rep = positive_minor_scan(12)

@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 import pytest
 
+import totalpos.networks
 from totalpos import (
     EnumerationBudgetError,
     PlanarNetwork,
@@ -24,7 +25,13 @@ from totalpos import (
     weight_matrix,
 )
 from totalpos.matrices import ExactMatrix
-from totalpos.networks import PathCollection, Vertex, _boundary_pairs, _integer_lift
+from totalpos.networks import (
+    PathCollection,
+    Vertex,
+    _boundary_pairs,
+    _integer_lift,
+    _route_in_order,
+)
 from totalpos.three_section import SectionWeights, weight_key_set
 
 from oracles import adjacency, build_grid, count_paths, iter_paths, network_from_json
@@ -390,7 +397,7 @@ class TestValidation:
         found = find_positive_collection(net, (1, 2), (1, 2))
         twin = duplicate(net)
         assert twin == net and twin is not net
-        assert (twin._lift, twin._routes, twin._trail) == (None, {}, [])
+        assert (twin._lift, twin._routes) == (None, {})
         assert weight_matrix(twin) == expected
         assert find_positive_collection(twin, (1, 2), (1, 2)) == found
 
@@ -818,6 +825,90 @@ class TestResumedRouting:
         with pytest.raises(EnumerationBudgetError):
             find_positive_collection(net, (1, 2), (1, 2), budget=steps - 1)
         assert find_positive_collection(net, (1, 2), (1, 2), budget=steps) is not None
+
+
+class StepRecorder:
+    """A budget that never binds: it records each step count compared
+    with it (steps > budget asks budget < steps)."""
+
+    def __init__(self):
+        self.totals = []
+
+    def __lt__(self, steps):
+        self.totals.append(steps)
+        return False
+
+
+def assert_in_order_routing_matches(net, queries, monkeypatch) -> int:
+    """_route_in_order over the 0-based queries, in order, answers each
+    one as find_positive_collection does on its own, found or not, and
+    checks the same step total against the budget.  Returns how many
+    queries have no collection."""
+    budget = StepRecorder()
+    monkeypatch.setattr(totalpos.networks, "ROUTE_BUDGET", budget)
+    found = list(_route_in_order(net, queries))
+    assert len(found) == len(budget.totals) == len(queries)
+    for (rows, cols), got, steps in zip(queries, found, budget.totals):
+        alone = StepRecorder()
+        want = find_positive_collection(
+            net, [i + 1 for i in rows], [j + 1 for j in cols], budget=alone
+        )
+        assert (got, steps) == (want is not None, alone.totals[-1]), (rows, cols)
+    return found.count(False)
+
+
+def square_queries(n):
+    """Every ascending square query on n sources and n sinks, 0-based, in
+    (size, rows, cols) order."""
+    return [
+        (rows, cols)
+        for size in range(1, n + 1)
+        for rows in combinations(range(n), size)
+        for cols in combinations(range(n), size)
+    ]
+
+
+class TestInOrderRouting:
+    @pytest.mark.parametrize(
+        "m, seeds", [(4, range(8)), (6, range(6)), (8, range(3))], ids=["m4", "m6", "m8"]
+    )
+    def test_square_queries_on_zeroed_networks(self, m, seeds, monkeypatch):
+        """Every square query, many of them without a collection, in order
+        on one network per seed: the same answers and step totals as
+        find_positive_collection."""
+        queries = square_queries(m)
+        missing = [
+            assert_in_order_routing_matches(zeroed_three_section(m, seed), queries, monkeypatch)
+            for seed in seeds
+        ]
+        assert all(0 < count < len(queries) for count in missing)
+
+    def test_budget_binds_as_in_find_positive_collection(self, monkeypatch):
+        """The query with the most steps raises find_positive_collection's
+        error at a budget one below them.  Its first pair was routed by a
+        one-pair query before it, so part of its total comes from the memo."""
+        net = zeroed_three_section(6, 3)
+        queries = square_queries(6)
+        budget = StepRecorder()
+        monkeypatch.setattr(totalpos.networks, "ROUTE_BUDGET", budget)
+        list(_route_in_order(net, queries))
+        k = max(range(len(queries)), key=lambda q: budget.totals[q])
+        rows, cols = queries[k]
+        steps = budget.totals[k]
+        assert steps > 0 and len(rows) > 1
+        with pytest.raises(EnumerationBudgetError) as alone:
+            find_positive_collection(
+                net, [i + 1 for i in rows], [j + 1 for j in cols], budget=steps - 1
+            )
+        monkeypatch.setattr(totalpos.networks, "ROUTE_BUDGET", steps - 1)
+        answers = _route_in_order(net, queries)
+        with pytest.raises(EnumerationBudgetError) as routed:
+            for _ in range(k + 1):
+                next(answers)
+        assert str(routed.value) == str(alone.value)
+        assert str(alone.value) == f"positive-collection search exceeded budget {steps - 1}"
+        monkeypatch.setattr(totalpos.networks, "ROUTE_BUDGET", steps)
+        assert len(list(_route_in_order(net, queries))) == len(queries)
 
 
 class TestDotExport:
